@@ -130,7 +130,7 @@ def main(argv=None):
 
     accel.warmup()
     print(f"active backend: {accel.BACKEND} "
-          f"(numba importable: {accel.NUMBA_ENABLED or accel.NUMBA_DISABLED})")
+          f"(numba importable: {accel._NUMBA_IMPORTED})")
     print(f"{'kernel':<38} {'numba ms':>10} {'numpy ms':>10} {'speedup':>8}")
     for name, jit_ms, np_ms in bench_kernels(args.repeats):
         if jit_ms is None:

@@ -4,7 +4,9 @@ Every tensor wraps a C-contiguous float64 ndarray. Operations execute
 eagerly through numpy and, when a tape is active and an input requires
 gradients, append a backward closure to that tape. Execution order is a
 topological order of the graph, so ``backward`` simply replays the tape in
-reverse, visiting each node exactly once.
+reverse, visiting each node exactly once. A node's gradient is released as
+soon as its closure has consumed it, so after ``backward`` only leaves
+(parameters and constants, which are never tape outputs) hold ``.grad``.
 
 The tape lives in thread-local state: training owns one tape on one thread,
 while gradient-free scoring can run on worker threads under ``no_grad`` (or
@@ -163,8 +165,10 @@ def _unbroadcast(g, shape):
 def backward(loss):
     """Replay the active tape in reverse from a scalar loss, then clear it.
 
-    Afterwards every requires_grad tensor reachable from ``loss`` holds
-    dloss/dtensor in ``.grad`` (accumulated on top of any existing grad).
+    Afterwards every requires_grad leaf reachable from ``loss`` holds
+    dloss/dleaf in ``.grad`` (accumulated on top of any existing grad).
+    Tape outputs hold ``None``: each node's grad is complete when its closure
+    runs (every consumer sits later on the tape) and is dropped right after.
     """
     if loss.size != 1:
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -175,6 +179,7 @@ def backward(loss):
     for out, fn in reversed(tape._nodes):
         if out.grad is not None:
             fn(out.grad)
+            out.grad = None
     tape.clear()
 
 
@@ -244,7 +249,12 @@ def add_scalar(a, c):
 
 
 def matmul(a, b):
-    """Matrix product over the trailing two axes, batch dims broadcasting."""
+    """Matrix product over the trailing two axes, batch dims broadcasting.
+
+    A 2-d right operand (a weight) is applied as one GEMM over the left
+    operand's leading dims flattened into rows; its gradient is then a single
+    ``a2.T @ g2`` product instead of a stack of per-batch outer products.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatchError(
             f"matmul needs >=2-d operands, got {a.shape} x {b.shape}"
@@ -253,6 +263,19 @@ def matmul(a, b):
         raise ShapeMismatchError(
             f"matmul inner extents differ: {a.shape} x {b.shape}"
         )
+    if b.ndim == 2:
+        a2 = a.data.reshape(-1, a.shape[-1])
+        out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],)))
+
+        def bwd(g):
+            g2 = g.reshape(-1, b.shape[1])
+            if a.requires_grad:
+                a.accumulate_grad((g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                b.accumulate_grad(a2.T @ g2)
+
+        return record_op(out, (a, b), bwd)
+
     out = Tensor(np.matmul(a.data, b.data))
 
     def bwd(g):

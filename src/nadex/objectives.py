@@ -89,13 +89,14 @@ def compute_batch_loss(params, batch, schedule, loss_cfg, m, eps_pos, eps_neg,
     Returns (total, l_r, l_neg, neg_applied) with the first three on tape.
     """
     history_emb, rel_emb, dt_emb, key_mask, gold_emb = embed_batch(params, batch)
-    use_negatives = loss_cfg.lam < 1.0
-    neg = negative_prototypes(
-        gold_emb,
-        gold_ids=batch.golds,
-        mask_duplicate_golds=loss_cfg.mask_duplicate_golds,
-    )
-    neg_applied = bool(neg.valid and use_negatives)
+    neg_applied = False
+    if loss_cfg.lam < 1.0:  # lam == 1 gives the negative branch zero weight
+        neg = negative_prototypes(
+            gold_emb,
+            gold_ids=batch.golds,
+            mask_duplicate_golds=loss_cfg.mask_duplicate_golds,
+        )
+        neg_applied = neg.valid
 
     o_m_pos = diffuse(gold_emb, m, schedule, eps_pos)
     seq_pos = assemble_sequence(history_emb, o_m_pos, rel_emb, dt_emb)

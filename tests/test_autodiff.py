@@ -52,6 +52,23 @@ def _case_matmul_batched(rng):
     return {"a": a, "b": b}, lambda: K.sum(K.mul(K.matmul(a, b), K.constant(w)))
 
 
+def _case_matmul_batched_both(rng):
+    # batched right operand (as in attention), broadcast over axis 1
+    a, b = _p(rng, (2, 2, 3, 4)), _p(rng, (2, 1, 4, 3))
+    w = np.random.default_rng(986).normal(size=(2, 2, 3, 3))
+    return {"a": a, "b": b}, lambda: K.sum(K.mul(K.matmul(a, b), K.constant(w)))
+
+
+def _case_matmul_flat(rng, left_grad, weight_grad):
+    # 4-d activations times a 2-d weight: the flattened single-GEMM path
+    a = K.Tensor(rng.uniform(-2.0, 2.0, size=(2, 3, 4, 5)),
+                 requires_grad=left_grad)
+    b = K.Tensor(rng.uniform(-2.0, 2.0, size=(5, 2)), requires_grad=weight_grad)
+    w = np.random.default_rng(985).normal(size=(2, 3, 4, 2))
+    tensors = {k: v for k, v in (("a", a), ("b", b)) if v.requires_grad}
+    return tensors, lambda: K.sum(K.mul(K.matmul(a, b), K.constant(w)))
+
+
 def _case_sigmoid(rng):
     a = _p(rng, (6,))
     return {"a": a}, lambda: K.sum(K.sigmoid(a))
@@ -160,6 +177,10 @@ OP_CASES = [
     ("scale_add_scalar", _case_scale_add_scalar),
     ("matmul", _case_matmul),
     ("matmul_batched", _case_matmul_batched),
+    ("matmul_batched_both", _case_matmul_batched_both),
+    ("matmul_flat_both", lambda rng: _case_matmul_flat(rng, True, True)),
+    ("matmul_flat_weight_only", lambda rng: _case_matmul_flat(rng, False, True)),
+    ("matmul_flat_left_only", lambda rng: _case_matmul_flat(rng, True, False)),
     ("sigmoid", _case_sigmoid),
     ("log", _case_log),
     ("relu", _case_relu),
@@ -231,3 +252,23 @@ def test_check_grad_helper_on_composite_chain():
         return K.mean(K.log(K.add_scalar(p, 1e-8)))
 
     check_grad(build, {"x": x, "w": w}, seeds_checked=17)
+
+
+def test_backward_leaves_grads_on_leaves_only():
+    # h fans out into two products; its grad must be fully summed before the
+    # tape releases it, and every tape output ends with grad None
+    rng = np.random.default_rng(23)
+    x = K.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = K.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    c1, c2 = rng.normal(size=(3, 2)), rng.normal(size=(3, 2))
+    with K.Tape().active():
+        h = K.matmul(x, w)
+        p1, p2 = K.mul(h, K.constant(c1)), K.mul(h, K.constant(c2))
+        s1, s2 = K.sum(p1), K.sum(p2)
+        loss = K.add(s1, s2)
+        K.backward(loss)
+    dh = c1 + c2
+    assert np.allclose(x.grad, dh @ w.data.T, rtol=1e-12, atol=1e-12)
+    assert np.allclose(w.grad, x.data.T @ dh, rtol=1e-12, atol=1e-12)
+    for node in (h, p1, p2, s1, s2, loss):
+        assert node.grad is None

@@ -236,6 +236,19 @@ def test_lambda_one_skips_negative_branch_entirely():
     assert out.l_total == out.l_r
 
 
+def test_lambda_one_never_builds_negative_prototypes(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("negative_prototypes called at lambda 1")
+
+    monkeypatch.setattr(objectives, "negative_prototypes", forbidden)
+    params, sched, batches, opt, _ = _stream_setup(lam=1.0)
+    assert batches[2].size > 1
+    out = train_step(batches[2], params, sched, opt, LossConfig(lam=1.0),
+                     np.random.default_rng(0))
+    assert not out.neg_applied
+    assert out.l_total == out.l_r
+
+
 def test_train_step_determinism():
     runs = []
     for _ in range(2):

@@ -44,6 +44,17 @@ def test_matmul_against_triple_loop_oracle():
         assert np.max(np.abs(out - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("left_shape", [(2, 3, 4, 5), (3, 5), (1, 1, 5)])
+def test_matmul_with_2d_weight_matches_numpy(left_shape):
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=left_shape)
+    b = rng.normal(size=(5, 2))
+    out = K.matmul(t(a), t(b)).data
+    ref = np.matmul(a, b)
+    assert out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-12
+
+
 def test_matmul_identity_associativity_bitwise():
     rng = np.random.default_rng(7)
     a = rng.integers(-4, 5, size=(3, 3)).astype(np.float64)
