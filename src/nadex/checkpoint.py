@@ -21,6 +21,7 @@ Tensors cover the model parameters plus the optimizer's moment buffers
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -80,6 +81,23 @@ class _Reader:
     def unpack(self, fmt):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n, what):
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointFormatError(f"{what} is not UTF-8: {err}") from None
+
+    def array(self):
+        """One tensor's shape and data; sizes are checked against the bytes
+        left before anything is allocated for them."""
+        (ndim,) = self.unpack("<I")
+        if 4 * ndim > len(self.blob) - self.off:
+            raise CheckpointFormatError(f"tensor rank {ndim} exceeds the file")
+        shape = struct.unpack(f"<{ndim}I", self.take(4 * ndim))
+        data = np.frombuffer(self.take(8 * math.prod(shape)), dtype="<f8")
+        # frombuffer views are read-only; training mutates these in place
+        return np.array(data.reshape(shape), dtype=np.float64, order="C")
+
 
 def load(path):
     """Read a checkpoint into a plain dict (arrays keyed by tensor name)."""
@@ -94,24 +112,22 @@ def load(path):
             f"{path}: format version {version}, this build reads {VERSION}"
         )
     (config_len,) = r.unpack("<I")
-    config_text = r.take(config_len).decode("utf-8")
+    config_text = r.text(config_len, "config")
     num_entities, num_rel_base, max_time = r.unpack("<III")
     (epoch,) = r.unpack("<I")
     (adam_steps,) = r.unpack("<I")
     (best_valid_mrr,) = r.unpack("<d")
     (rng_len,) = r.unpack("<I")
-    rng_state = json.loads(r.take(rng_len).decode("utf-8"))
+    try:
+        rng_state = json.loads(r.text(rng_len, "rng state"))
+    except (json.JSONDecodeError, RecursionError) as err:
+        raise CheckpointFormatError(f"{path}: rng state is not JSON: {err}") from None
     (tensor_count,) = r.unpack("<I")
     arrays = {}
     for _ in range(tensor_count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
-        (ndim,) = r.unpack("<I")
-        shape = tuple(r.unpack("<" + "I" * ndim)) if ndim else ()
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape)
-        # frombuffer views are read-only; training mutates these in place
-        arrays[name] = np.array(data, dtype=np.float64, order="C")
+        name = r.text(name_len, "tensor name")
+        arrays[name] = r.array()
     if r.off != len(blob):
         raise CheckpointFormatError(f"{path}: {len(blob) - r.off} trailing bytes")
     return {
@@ -144,5 +160,8 @@ def restore_optimizer(loaded, optimizer):
 
 def restore_rng(loaded):
     rng = np.random.default_rng(0)
-    rng.bit_generator.state = loaded["rng_state"]
+    try:
+        rng.bit_generator.state = loaded["rng_state"]
+    except (KeyError, TypeError, ValueError) as err:
+        raise CheckpointFormatError(f"rng state is not a PCG64 state: {err!r}") from None
     return rng

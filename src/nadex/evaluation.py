@@ -12,7 +12,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import accel
 from .data import TimestampBatch
 from .denoiser import denoise, embed_batch
 from .diffusion import make_inference_input
@@ -44,11 +43,11 @@ def filtered_rank(scores, gold, filter_set):
     num_entities = scores.shape[0]
     if not 0 <= gold < num_entities:
         raise ValidationError(f"gold id {gold} outside entity range {num_entities}")
-    excluded = np.zeros(num_entities, dtype=bool)
+    live = np.ones(num_entities, dtype=bool)
     for e in filter_set:
-        excluded[e] = True
-    excluded[gold] = False
-    return int(accel.filtered_rank(scores, gold, excluded))
+        live[e] = False
+    live[gold] = False
+    return 1 + int(np.count_nonzero(live & (scores >= scores[gold])))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,12 @@
 """Adam with bias correction over a named parameter set.
 
 State (first/second moments, step counter) is keyed by parameter name so it
-can round-trip through checkpoints. The fused update runs through the
-accelerated kernel; both backends apply the same operation order.
+can round-trip through checkpoints. Each update runs in place on the
+parameter and its moment buffers.
 """
 
 import numpy as np
 
-from .. import accel
 from ..errors import NumericsError
 
 
@@ -30,8 +29,6 @@ class Adam:
         values stay put while the moment estimates decay.
         """
         self.step_count += 1
-        # bias corrections computed once here: libm pow and numba's integer
-        # power differ by an ulp, so the kernels must not call ** themselves
         c1 = 1.0 - self.beta1 ** self.step_count
         c2 = 1.0 - self.beta2 ** self.step_count
         for name, p in self.params.items():
@@ -40,10 +37,12 @@ class Adam:
                 raise NumericsError(f"non-finite gradient for parameter '{name}'")
             if g is None:
                 g = np.zeros_like(p.data)
-            accel.adam_update(
-                p.data, g, self.m[name], self.v[name],
-                self.lr, self.beta1, self.beta2, self.eps, c1, c2,
-            )
+            m, v = self.m[name], self.v[name]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
     def zero_grad(self):
         for p in self.params.values():

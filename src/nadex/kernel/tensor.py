@@ -18,7 +18,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .. import accel
 from ..errors import (
     ConfigurationError,
     ContractError,
@@ -468,8 +467,8 @@ def embedding_gather(table, ids):
         if table.requires_grad:
             if table.grad is None:
                 table.grad = np.zeros_like(table.data)
-            rows = np.ascontiguousarray(g.reshape(-1, table.shape[1]))
-            accel.scatter_add_rows(table.grad, ids.reshape(-1), rows)
+            # unbuffered: duplicate ids accumulate, in the order of ``ids``
+            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.shape[1]))
 
     return record_op(out, (table,), bwd)
 

@@ -25,6 +25,29 @@ def test_single_step_hand_oracle():
     assert w.data[0] == pytest.approx(-1e-3, abs=1e-8)
 
 
+def test_matches_textbook_adam_bitwise_over_many_steps():
+    rng = np.random.default_rng(2)
+    n = 257  # odd size, not a block multiple
+    lr, beta1, beta2, eps = 1e-3, 0.9, 0.999, 1e-8
+    theta = rng.normal(size=n)
+    w = _param(theta.copy())
+    opt = Adam({"w": w}, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    m, v = np.zeros(n), np.zeros(n)
+    for step in range(1, 26):
+        g = rng.normal(size=n)
+        w.grad = g.copy()
+        opt.step()
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1**step)
+        v_hat = v / (1.0 - beta2**step)
+        theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    state = opt.state_arrays()
+    assert np.array_equal(w.data, theta)
+    assert np.array_equal(state["adam.m.w"], m)
+    assert np.array_equal(state["adam.v.w"], v)
+
+
 def test_zero_gradient_fresh_state_leaves_parameters_unchanged():
     w = _param([1.0, -2.0, 3.5])
     before = w.data.copy()

@@ -1,6 +1,7 @@
 """Checkpoint round-trips must be bitwise; corrupt files must be named."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,54 @@ def test_trailing_bytes_rejected(tmp_path):
     with pytest.raises(CheckpointFormatError) as exc:
         checkpoint.load(path)
     assert "trailing" in str(exc.value)
+
+
+def _corrupt(blob, kind):
+    """Damage one field of a checkpoint image in place, finding it through
+    the layout in the checkpoint module docstring."""
+    (config_len,) = struct.unpack_from("<I", blob, 8)
+    rng_at = 12 + config_len + 3 * 4 + 4 + 4 + 8 + 4
+    (rng_len,) = struct.unpack_from("<I", blob, rng_at - 4)
+    name_len_at = rng_at + rng_len + 4
+    (name_len,) = struct.unpack_from("<H", blob, name_len_at)
+    ndim_at = name_len_at + 2 + name_len  # of the first tensor
+    (ndim,) = struct.unpack_from("<I", blob, ndim_at)
+    if kind == "rank":
+        struct.pack_into("<I", blob, ndim_at, 2**31 + ndim)
+    elif kind == "extents":
+        blob[ndim_at + 4 : ndim_at + 4 + 4 * ndim] = b"\xff" * (4 * ndim)
+    elif kind == "config_not_utf8":
+        blob[12] = 0xFF
+    elif kind == "rng_not_utf8":
+        blob[rng_at] = 0xFF
+    elif kind == "rng_not_json":
+        blob[rng_at] = ord("}")
+    elif kind == "rng_too_deep":
+        blob[rng_at - 4 : rng_at + rng_len] = struct.pack("<I", 5000) + b"[" * 5000
+    elif kind == "rng_not_pcg64":
+        at = blob.index(b"PCG64", rng_at)
+        blob[at : at + 5] = b"PCG65"
+
+
+@pytest.mark.parametrize("kind", ["rank", "extents", "config_not_utf8",
+                                  "rng_not_utf8", "rng_not_json",
+                                  "rng_too_deep", "rng_not_pcg64"])
+def test_corrupt_field_raises_format_error_within_file_size(tmp_path, kind):
+    cfg, vocab, params, sched, opt, rng = _trained_state()
+    path = tmp_path / "model.ckpt"
+    checkpoint.save(path, params, opt, "window = 3\n", vocab, 1, 0.0, rng)
+    blob = bytearray(path.read_bytes())
+    _corrupt(blob, kind)
+    path.write_bytes(bytes(blob))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointFormatError):
+            checkpoint.restore_rng(checkpoint.load(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # at most the file's bytes plus the arrays decoded from them
+    assert peak < 3 * len(blob)
 
 
 def test_restore_shape_mismatch_names_tensor(tmp_path):

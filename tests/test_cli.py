@@ -189,6 +189,17 @@ def test_eval_corrupt_checkpoint_is_exit_2(workspace, tmp_path):
     assert "CheckpointFormatError" in err
 
 
+def test_eval_checkpoint_with_non_utf8_config_is_exit_2(workspace, tmp_path):
+    blob = bytearray(workspace.ckpt.read_bytes())
+    blob[12] = 0xFF  # first byte of the config text
+    bad = tmp_path / "config.ckpt"
+    bad.write_bytes(bytes(blob))
+    code, out, err = run_cli(["eval", "--checkpoint", str(bad),
+                              "--split", "valid"])
+    assert code == 2
+    assert "error: CheckpointFormatError:" in err
+
+
 # ---------------------------------------------------------------------------
 # predict
 

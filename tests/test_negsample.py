@@ -1,5 +1,7 @@
 """Batch-wise negative prototypes: self-excluding row means over targets."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -51,8 +53,8 @@ def test_single_row_degenerates_to_invalid_zero():
 
 def test_oracle_equivalence_random_batches():
     rng = np.random.default_rng(0)
-    for _ in range(200):
-        n = int(rng.integers(2, 9))
+    small = (int(rng.integers(2, 9)) for _ in range(200))  # drawn per batch
+    for n in itertools.chain(small, (17, 64, 128)):
         h = int(rng.integers(1, 12))
         e = rng.normal(size=(n, h))
         out = negative_prototypes(T(e))

@@ -1,5 +1,9 @@
 """Losses and the training drivers: hand oracles, collapses, trend tests."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -260,6 +264,43 @@ def test_train_step_determinism():
         assert a.l_r == b.l_r
         assert a.l_neg == b.l_neg
         assert a.l_total == b.l_total
+
+
+_TRAIN_PROBE = """
+import numpy as np
+from nadex import data, denoiser, diffusion, objectives, synthetic
+from nadex.kernel import optim
+
+quads = synthetic.cyclic_tkg(num_entities=5, num_relations=2, num_timestamps=12)
+vocab = data.build_vocabulary(quads)
+aug = sorted(data.augment_inverse(quads, vocab), key=lambda q: q.t)
+samples = data.build_histories(aug, window=3, dt_max=8)
+batches = data.batch_by_timestamp(samples, b_max=16)
+cfg = denoiser.DenoiserConfig(hidden=16, layers=1, heads=2, dropout=0.0,
+                              window=3, dt_max=8, m_steps=4)
+params = denoiser.init_params(cfg, vocab, seed=0)
+sched = diffusion.build_schedule(m_steps=4)
+opt = optim.Adam(params.tensors, lr=1e-3)
+rng = np.random.default_rng(0)
+losses = [objectives.train_step(b, params, sched, opt, objectives.LossConfig(),
+                                rng).l_total for b in batches[:8]]
+print(np.array(losses).tobytes().hex(),
+      params.tensors["entity_table"].data.tobytes().hex())
+"""
+
+
+def test_training_trajectory_identical_across_processes():
+    # fresh interpreters: nothing process-level (hash seeds, import-time
+    # state) may leak into the loss trajectory or the trained entity table
+    src = os.path.dirname(os.path.dirname(os.path.abspath(objectives.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    results = []
+    for _ in range(2):
+        out = subprocess.run([sys.executable, "-c", _TRAIN_PROBE], env=env,
+                             capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        results.append(out.stdout)
+    assert results[0] == results[1]
 
 
 def test_nan_abort_names_component():

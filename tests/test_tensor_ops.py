@@ -247,6 +247,26 @@ def test_gather_duplicate_id_doubles_gradient():
     assert not np.any(table.grad[0])
 
 
+def test_gather_scatter_matches_sequential_loop_on_existing_grad():
+    rng = np.random.default_rng(5)
+    table = t(rng.normal(size=(5, 16)), grad=True)
+    # a large existing grad makes any regrouping of the sums change bits
+    base = rng.normal(size=(5, 16)) * 1e3
+    table.grad = base.copy()
+    ids_a, ids_b = np.array([3, 3, 3, 0, 3]), np.array([0, 3, 1, 3])
+    w_a, w_b = rng.normal(size=(5, 16)), rng.normal(size=(4, 16))
+    with K.Tape().active():
+        loss = K.add(K.sum(K.mul(K.embedding_gather(table, ids_a), t(w_a))),
+                     K.sum(K.mul(K.embedding_gather(table, ids_b), t(w_b))))
+        K.backward(loss)
+    expected = base.copy()
+    # the tape replays in reverse, so the second gather scatters first
+    for ids, rows in ((ids_b, w_b), (ids_a, w_a)):
+        for k in range(len(ids)):
+            expected[ids[k]] += rows[k]
+    assert np.array_equal(table.grad, expected)
+
+
 def test_gather_unknown_id_names_id_and_size():
     table = t(np.ones((4, 3)))
     with pytest.raises(UnknownIdError) as exc:
