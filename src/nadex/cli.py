@@ -15,7 +15,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .config import SEED_ENV_VAR, finalize, load_config, parse_config_text
 from .data import (
-    HistorySample,
+    Quadruple,
     augment_inverse,
     batch_by_timestamp,
     build_histories,
@@ -25,7 +25,7 @@ from .data import (
     sample_to_batch,
 )
 from .denoiser import denoise, embed_batch, init_params, score_entities
-from .diffusion import make_inference_input, refine
+from .diffusion import make_inference_input
 from .errors import (
     CheckpointFormatError,
     CheckpointVersionError,
@@ -130,7 +130,15 @@ def _load_checkpoint(args):
     return loaded, cfg, vocab, params
 
 
+def _check_flag(name, value, minimum):
+    """Reject a command-line value below its minimum; None means unset."""
+    if value is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+
+
 def cmd_eval(args):
+    _check_flag("--k", args.k, 1)
+    _check_flag("--seed", args.seed, 0)
     loaded, cfg, vocab, params = _load_checkpoint(args)
     _, aug, vocab2, per_split, _ = _load_splits(cfg)
     if (vocab2.num_entities > vocab.num_entities
@@ -149,8 +157,9 @@ def cmd_eval(args):
             raise ValidationError(f"unseen subset of '{args.split}' is empty")
         train_triples = None  # subset already restricted
     seed = cfg.seed if args.seed is None else args.seed
+    k_repeats = cfg.eval_k if args.k is None else args.k
     report = _eval_split(cfg, samples, params, schedule, filter_index,
-                         train_triples, seed, args.k or cfg.eval_k)
+                         train_triples, seed, k_repeats)
     print(report.format_table())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -160,6 +169,8 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
+    _check_flag("--top-k", args.top_k, 1)
+    _check_flag("--seed", args.seed, 0)
     loaded, cfg, vocab, params = _load_checkpoint(args)
     if not 0 <= args.subject < vocab.num_entities:
         raise UnknownIdError(
@@ -173,35 +184,17 @@ def cmd_predict(args):
         )
     _, _, _, _, stream = _load_splits(cfg)
     past = [q for q in stream if q.s == args.subject and q.t < args.time]
-    recent = past[-cfg.window :]
-    window = cfg.window
-    ho = np.zeros(window, dtype=np.int64)
-    hr = np.zeros(window, dtype=np.int64)
-    hd = np.zeros(window, dtype=np.int64)
-    mask = np.zeros(window, dtype=bool)
-    for pos, q in enumerate(recent):
-        slot = window - len(recent) + pos
-        ho[slot] = q.o
-        hr[slot] = q.r
-        hd[slot] = min(args.time - q.t, cfg.dt_max)
-        mask[slot] = True
-    sample = HistorySample(s=args.subject, r=args.relation, o=0, t=args.time,
-                           hist_objects=ho, hist_relations=hr, hist_dt=hd,
-                           mask=mask)
+    query = Quadruple(args.subject, args.relation, 0, args.time)
+    sample = build_histories(past[-cfg.window :] + [query], cfg.window,
+                             cfg.dt_max)[-1]
     batch = sample_to_batch(sample)
     schedule = cfg.schedule()
     rng = np.random.default_rng(cfg.seed if args.seed is None else args.seed)
     with T.no_grad():
         hist, rel, dt, key_mask, _ = embed_batch(params, batch)
-        if cfg.refine_steps > 0:
-            est = refine(
-                lambda seq, m: denoise(params, seq, m, key_mask), hist, rel,
-                dt, schedule, rng, steps=cfg.refine_steps,
-            )
-        else:
-            noise = rng.standard_normal((1, cfg.hidden))
-            seq = make_inference_input(hist, noise, rel, dt)
-            est = denoise(params, seq, schedule.m_steps, key_mask)
+        noise = rng.standard_normal((1, cfg.hidden))
+        seq = make_inference_input(hist, noise, rel, dt)
+        est = denoise(params, seq, schedule.m_steps, key_mask)
         probs = score_entities(est, params.scoring_table(), cfg.tau).data[0]
     top_k = min(args.top_k, vocab.num_entities)
     order = np.argsort(-probs, kind="stable")[:top_k]

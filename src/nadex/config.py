@@ -49,23 +49,16 @@ class RunConfig:
     eval_k: int = 1
     eval_chunk: int = 256
     workers: int = 0
-    untied_scoring: bool = False
-    mask_duplicate_golds: bool = False
-    refine_steps: int = 0
 
     def denoiser_config(self):
         return DenoiserConfig(
             hidden=self.hidden, layers=self.layers, heads=self.heads,
             ffn_hidden=self.ffn_hidden, dropout=self.dropout,
             window=self.window, dt_max=self.dt_max, m_steps=self.m_steps,
-            untied_scoring=self.untied_scoring,
         )
 
     def loss_config(self):
-        return LossConfig(
-            lam=self.lam, gamma=self.gamma, tau=self.tau,
-            mask_duplicate_golds=self.mask_duplicate_golds,
-        )
+        return LossConfig(lam=self.lam, gamma=self.gamma, tau=self.tau)
 
     def schedule(self):
         return build_schedule(self.m_steps, self.delta,
@@ -89,8 +82,8 @@ class RunConfig:
             raise ConfigurationError(f"eval_every must be >= 1, got {self.eval_every}")
         if min(self.eval_k, self.eval_chunk) < 1:
             raise ConfigurationError("eval_k and eval_chunk must be >= 1")
-        if self.workers < 0 or self.refine_steps < 0:
-            raise ConfigurationError("workers and refine_steps must be >= 0")
+        if self.workers < 0:
+            raise ConfigurationError(f"workers must be >= 0, got {self.workers}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         return self
@@ -99,10 +92,7 @@ class RunConfig:
         lines = []
         for f in dataclasses.fields(self):
             key = "lambda" if f.name == "lam" else f.name
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"{key} = {value}")
+            lines.append(f"{key} = {getattr(self, f.name)}")
         return "\n".join(lines) + "\n"
 
 
@@ -111,15 +101,8 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 def _coerce(field, raw, where):
     raw = raw.strip()
-    if field.type == "bool" or isinstance(field.default, bool):
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ConfigurationError(f"{where}: expected a boolean, got {raw!r}")
     try:
-        if isinstance(field.default, int) and not isinstance(field.default, bool):
+        if isinstance(field.default, int):
             return int(raw)
         if isinstance(field.default, float):
             return float(raw)

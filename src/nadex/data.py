@@ -251,20 +251,23 @@ def batch_by_timestamp(samples, b_max=512):
     for t in sorted(by_time):
         group = by_time[t]
         for start in range(0, len(group), b_max):
-            chunk = group[start : start + b_max]
-            batches.append(
-                TimestampBatch(
-                    t=t,
-                    subjects=np.array([c.s for c in chunk], dtype=np.int64),
-                    relations=np.array([c.r for c in chunk], dtype=np.int64),
-                    golds=np.array([c.o for c in chunk], dtype=np.int64),
-                    hist_objects=np.stack([c.hist_objects for c in chunk]),
-                    hist_relations=np.stack([c.hist_relations for c in chunk]),
-                    hist_dt=np.stack([c.hist_dt for c in chunk]),
-                    mask=np.stack([c.mask for c in chunk]),
-                )
-            )
+            batches.append(stack_samples(group[start : start + b_max]))
     return batches
+
+
+def stack_samples(samples):
+    """Stack N HistorySamples into one TimestampBatch stamped with the
+    first sample's time."""
+    return TimestampBatch(
+        t=samples[0].t,
+        subjects=np.array([s.s for s in samples], dtype=np.int64),
+        relations=np.array([s.r for s in samples], dtype=np.int64),
+        golds=np.array([s.o for s in samples], dtype=np.int64),
+        hist_objects=np.stack([s.hist_objects for s in samples]),
+        hist_relations=np.stack([s.hist_relations for s in samples]),
+        hist_dt=np.stack([s.hist_dt for s in samples]),
+        mask=np.stack([s.mask for s in samples]),
+    )
 
 
 def sample_to_batch(sample):

@@ -5,7 +5,9 @@ conditioned with relation and time-gap embeddings. The encoder adds a
 learned position embedding per slot and a step embedding (broadcast to all
 slots) for the current noise level, runs pre-norm bidirectional
 self-attention with padded positions masked out of the keys, and reads the
-final-normed last position as the clean-target estimate.
+final-normed last position as the clean-target estimate. Candidates are
+scored by dot products against the same entity table that embeds the
+history and the gold targets.
 """
 
 import math
@@ -27,7 +29,6 @@ class DenoiserConfig:
     window: int = 8  # history length L; sequences have L + 1 slots
     dt_max: int = 512
     m_steps: int = 50
-    untied_scoring: bool = False
 
     def __post_init__(self):
         if min(self.hidden, self.layers, self.heads, self.window,
@@ -68,9 +69,8 @@ class DenoiserParams:
         return int(np.sum([t.size for t in self.tensors.values()]))
 
     def scoring_table(self):
-        """Entity table used by the output softmax (tied unless configured)."""
-        if self.config.untied_scoring:
-            return self.tensors["scoring_table"]
+        """Table the output scores against: the entity table itself, so
+        input and output entity embeddings are tied."""
         return self.tensors["entity_table"]
 
     def check_finite(self):
@@ -118,8 +118,6 @@ def init_params(config, vocab, seed):
         p.add(f"{pre}.ln2.bias", np.zeros(h))
     p.add("final_ln.gain", np.ones(h))
     p.add("final_ln.bias", np.zeros(h))
-    if config.untied_scoring:
-        p.add("scoring_table", emb(vocab.num_entities))
     return p
 
 

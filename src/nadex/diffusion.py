@@ -5,8 +5,7 @@ The schedule fixes, per step m in 1..M, how much clean signal survives
 latter interpolating linearly from delta*alpha_min to delta*alpha_max.
 Corruption draws o_m = sqrt(alpha_bar_m) * clean + sqrt(1 - alpha_bar_m) * eps.
 At inference the target slot starts from a pure standard Gaussian draw and
-is recovered in a single denoiser application; iterative refinement over
-the full step ladder is available behind a flag.
+is recovered in a single denoiser application at the top step M.
 """
 
 from dataclasses import dataclass
@@ -82,15 +81,6 @@ def sample_step(rng, m_steps):
     return int(rng.integers(1, m_steps + 1))
 
 
-@dataclass
-class DiffusedTarget:
-    o_m_pos: T.Tensor  # [N, h]
-    o_m_neg: T.Tensor  # [N, h]
-    m: int
-    eps_pos: np.ndarray
-    eps_neg: np.ndarray
-
-
 def diffuse(clean, m, schedule, eps):
     """o_m = sqrt(alpha_bar_m)*clean + sqrt(1-alpha_bar_m)*eps, on tape."""
     schedule.check_step(m)
@@ -101,20 +91,6 @@ def diffuse(clean, m, schedule, eps):
     signal = T.scale(clean, schedule.sqrt_alpha_bar(m))
     noise = T.constant(schedule.sqrt_one_minus(m) * eps)
     return T.add(signal, noise)
-
-
-def forward_diffuse(clean_pos, clean_neg, m, schedule, rng):
-    """Corrupt positive targets and negative prototypes at one shared step,
-    with independent noise draws for the two branches."""
-    eps_pos = rng.standard_normal(clean_pos.shape)
-    eps_neg = rng.standard_normal(clean_neg.shape)
-    return DiffusedTarget(
-        o_m_pos=diffuse(clean_pos, m, schedule, eps_pos),
-        o_m_neg=diffuse(clean_neg, m, schedule, eps_neg),
-        m=m,
-        eps_pos=eps_pos,
-        eps_neg=eps_neg,
-    )
 
 
 def assemble_sequence(history_emb, target_emb, rel_emb, dt_emb):
@@ -142,31 +118,3 @@ def make_inference_input(history_emb, target_noise, rel_emb, dt_emb):
     the evaluation loop so repeat draws are reproducible).
     """
     return assemble_sequence(history_emb, T.constant(target_noise), rel_emb, dt_emb)
-
-
-def refine(denoise_fn, history_emb, rel_emb, dt_emb, schedule, rng, steps=None):
-    """Iterative ancestral refinement (optional path, off by default).
-
-    Re-noises the current estimate to each intermediate level and denoises
-    again, walking m = M, M-1, ..., 1. `denoise_fn(seq, m)` must return the
-    clean-target estimate [N, h]. The single-shot path is simply steps=1.
-    """
-    n, _, h = history_emb.shape
-    m_steps = schedule.m_steps
-    if steps is None:
-        ladder = list(range(m_steps, 0, -1))
-    else:
-        ladder = np.linspace(m_steps, 1, num=steps).round().astype(int).tolist()
-    est = None
-    for idx, m in enumerate(ladder):
-        if idx == 0:
-            slot = rng.standard_normal((n, h))
-        else:
-            eps = rng.standard_normal((n, h))
-            slot = (
-                schedule.sqrt_alpha_bar(m) * est
-                + schedule.sqrt_one_minus(m) * eps
-            )
-        seq = make_inference_input(history_emb, slot, rel_emb, dt_emb)
-        est = denoise_fn(seq, m).data
-    return T.constant(est)

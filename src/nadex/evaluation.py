@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import TimestampBatch
+from .data import stack_samples
 from .denoiser import denoise, embed_batch
 from .diffusion import make_inference_input
 from .errors import ParseError, ValidationError
@@ -128,19 +128,6 @@ def report_from_tsv(text):
         raise ParseError(f"report is missing metric {missing}") from None
 
 
-def _stack_chunk(samples):
-    return TimestampBatch(
-        t=samples[0].t,
-        subjects=np.array([s.s for s in samples], dtype=np.int64),
-        relations=np.array([s.r for s in samples], dtype=np.int64),
-        golds=np.array([s.o for s in samples], dtype=np.int64),
-        hist_objects=np.stack([s.hist_objects for s in samples]),
-        hist_relations=np.stack([s.hist_relations for s in samples]),
-        hist_dt=np.stack([s.hist_dt for s in samples]),
-        mask=np.stack([s.mask for s in samples]),
-    )
-
-
 def _score_chunk(params, schedule, chunk, noise_draws):
     """Average raw entity scores over the supplied noise draws."""
     with T.no_grad():
@@ -179,7 +166,7 @@ def evaluate(samples, params, schedule, filter_index, tau, seed, k_repeats=1,
     for start in range(0, len(samples), chunk_size):
         part = samples[start : start + chunk_size]
         draws = [rng.standard_normal((len(part), h)) for _ in range(k_repeats)]
-        chunks.append((_stack_chunk(part), draws))
+        chunks.append((stack_samples(part), draws))
 
     def run(entry):
         chunk, draws = entry

@@ -1,69 +1,4 @@
-"""Differentiable tensor core: taped autodiff plus Adam."""
+"""Differentiable tensor core: the autodiff tape in ``tensor``, Adam in
+``optim``."""
 
 from .optim import Adam
-from .tensor import (
-    MASK_NEG,
-    Tape,
-    Tensor,
-    active_tape,
-    add,
-    add_scalar,
-    as_tensor,
-    backward,
-    concat,
-    constant,
-    dropout,
-    embedding_gather,
-    gather_rows_at,
-    l2_normalize,
-    layer_norm,
-    log,
-    matmul,
-    mean,
-    mul,
-    no_grad,
-    record_op,
-    relu,
-    reshape,
-    scale,
-    sigmoid,
-    softmax,
-    sub,
-    sum,
-    take,
-    transpose,
-)
-
-__all__ = [
-    "Adam",
-    "MASK_NEG",
-    "Tape",
-    "Tensor",
-    "active_tape",
-    "add",
-    "add_scalar",
-    "as_tensor",
-    "backward",
-    "concat",
-    "constant",
-    "dropout",
-    "embedding_gather",
-    "gather_rows_at",
-    "l2_normalize",
-    "layer_norm",
-    "log",
-    "matmul",
-    "mean",
-    "mul",
-    "no_grad",
-    "record_op",
-    "relu",
-    "reshape",
-    "scale",
-    "sigmoid",
-    "softmax",
-    "sub",
-    "sum",
-    "take",
-    "transpose",
-]

@@ -20,14 +20,12 @@ class NegativePrototypeBatch:
     valid: bool  # False when N == 1 (no peers to average)
 
 
-def negative_prototypes(target_embeddings, gold_ids=None, mask_duplicate_golds=False):
+def negative_prototypes(target_embeddings):
     """Row i of the result = mean over j != i of target_embeddings[j].
 
     N == 1 yields a zero prototype flagged invalid; callers skip the
-    negative branch. With mask_duplicate_golds, peers whose gold entity id
-    equals row i's gold are also excluded (rows left with no peers fall
-    back to zero); this is off by default so duplicate golds do
-    contribute, and requires gold_ids.
+    negative branch. Peers sharing row i's gold entity are averaged in
+    like any other row.
     """
     e = target_embeddings
     if e.ndim != 2:
@@ -37,16 +35,6 @@ def negative_prototypes(target_embeddings, gold_ids=None, mask_duplicate_golds=F
         return NegativePrototypeBatch(
             prototypes=T.constant(np.zeros_like(e.data)), valid=False
         )
-
-    if mask_duplicate_golds:
-        if gold_ids is None:
-            raise ShapeMismatchError("mask_duplicate_golds requires gold_ids")
-        gold_ids = np.asarray(gold_ids, dtype=np.int64)
-        keep = (gold_ids[None, :] != gold_ids[:, None]).astype(np.float64)
-        counts = keep.sum(axis=1, keepdims=True)
-        weights = np.divide(keep, counts, out=np.zeros_like(keep), where=counts > 0)
-        protos = T.matmul(T.constant(weights), e)
-        return NegativePrototypeBatch(prototypes=protos, valid=True)
 
     # Row i sums every row with row i zeroed, in row order: the same
     # additions as an explicit zero-diagonal construction, so the result is

@@ -31,7 +31,6 @@ class LossConfig:
     lam: float = 0.5
     gamma: float = 1.0
     tau: float = 0.5
-    mask_duplicate_golds: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -57,14 +56,12 @@ def reconstruction_loss(probabilities, gold_ids):
     return T.scale(T.mean(T.log(T.add_scalar(picked, EPS_NUM))), -1.0)
 
 
-def negative_cosine_loss(clean_neg, denoised_neg, neg_applied):
-    """Mean of (cos(o_neg, denoised_neg) - 1)^2 per row; 0 when inapplicable.
+def negative_cosine_loss(clean_neg, denoised_neg):
+    """Mean of (cos(o_neg, denoised_neg) - 1)^2 per row.
 
     Zero-norm rows normalize to zero, so their cosine is 0 and they
     contribute exactly 1.
     """
-    if not neg_applied:
-        return T.constant(np.zeros(()))
     cos = T.sum(
         T.mul(T.l2_normalize(clean_neg), T.l2_normalize(denoised_neg)), axis=-1
     )
@@ -91,11 +88,7 @@ def compute_batch_loss(params, batch, schedule, loss_cfg, m, eps_pos, eps_neg,
     history_emb, rel_emb, dt_emb, key_mask, gold_emb = embed_batch(params, batch)
     neg_applied = False
     if loss_cfg.lam < 1.0:  # lam == 1 gives the negative branch zero weight
-        neg = negative_prototypes(
-            gold_emb,
-            gold_ids=batch.golds,
-            mask_duplicate_golds=loss_cfg.mask_duplicate_golds,
-        )
+        neg = negative_prototypes(gold_emb)
         neg_applied = neg.valid
 
     o_m_pos = diffuse(gold_emb, m, schedule, eps_pos)
@@ -108,9 +101,9 @@ def compute_batch_loss(params, batch, schedule, loss_cfg, m, eps_pos, eps_neg,
         o_m_neg = diffuse(neg.prototypes, m, schedule, eps_neg)
         seq_neg = assemble_sequence(history_emb, o_m_neg, rel_emb, dt_emb)
         denoised_neg = denoise(params, seq_neg, m, key_mask, train_mode, rng)
-        l_neg = negative_cosine_loss(neg.prototypes, denoised_neg, True)
+        l_neg = negative_cosine_loss(neg.prototypes, denoised_neg)
     else:
-        l_neg = negative_cosine_loss(None, None, False)
+        l_neg = T.constant(np.zeros(()))
 
     total = combined_loss(l_r, l_neg, loss_cfg)
     return total, l_r, l_neg, neg_applied

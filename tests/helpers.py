@@ -31,7 +31,7 @@ def check_grad(build_loss, tensors, seeds_checked, max_coords=4, h=1e-5,
     here. A handful of coordinates per tensor are sampled; every sampled
     coordinate must satisfy ``tol`` under the symmetric relative error.
     """
-    from nadex import kernel as K
+    from nadex.kernel import tensor as K
 
     if rng is None:
         rng = np.random.default_rng(0)
@@ -70,13 +70,11 @@ def check_grad(build_loss, tensors, seeds_checked, max_coords=4, h=1e-5,
 
 
 def tiny_model(hidden=16, layers=1, heads=2, window=3, dt_max=8, m_steps=4,
-               num_entities=5, num_relations_base=2, seed=0, dropout=0.0,
-               untied=False):
+               num_entities=5, num_relations_base=2, seed=0, dropout=0.0):
     """Small untrained model + schedule for unit tests."""
     cfg = denoiser.DenoiserConfig(hidden=hidden, layers=layers, heads=heads,
                                   dropout=dropout, window=window,
-                                  dt_max=dt_max, m_steps=m_steps,
-                                  untied_scoring=untied)
+                                  dt_max=dt_max, m_steps=m_steps)
     vocab = data.Vocabulary(num_entities=num_entities,
                             num_relations_base=num_relations_base,
                             max_time=100)

@@ -10,14 +10,15 @@ import time
 import numpy as np
 import pytest
 
-from nadex import checkpoint, data, diffusion, kernel as K, synthetic
+from nadex import checkpoint, data, diffusion, synthetic
 from nadex.data import (augment_inverse, batch_by_timestamp, build_histories,
                         build_vocabulary, parse_quadruples)
 from nadex.denoiser import DenoiserConfig, init_params
-from nadex.diffusion import build_schedule, forward_diffuse
+from nadex.diffusion import build_schedule, diffuse
 from nadex.evaluation import (MetricReport, build_filter_index, evaluate,
                               filtered_rank)
 from nadex.kernel import Adam, optim
+from nadex.kernel import tensor as K
 from nadex.negsample import negative_prototypes
 from nadex.objectives import (LossConfig, combined_loss, compute_batch_loss,
                               negative_cosine_loss, reconstruction_loss,
@@ -150,7 +151,9 @@ def test_criterion_04_forward_statistics():
     details = []
     for m in (1, 5, 10):
         noise_var = sched.one_minus_alpha_bar[m - 1]
-        draws = forward_diffuse(T(clean), T(clean), m, sched, rng).o_m_pos.data
+        eps = rng.standard_normal(clean.shape)
+        rng.standard_normal(clean.shape)  # the negative branch's draw
+        draws = diffuse(T(clean), m, sched, eps).data
         target = sched.sqrt_alpha_bar(m) * base
         band = 3.0 * np.sqrt(noise_var) / np.sqrt(n)
         mean_dev = np.max(np.abs(draws.mean(axis=0) - target))
@@ -172,9 +175,9 @@ def test_criterion_05_loss_identities():
     collapse = combined_loss(l_r, T(0.3), LossConfig(lam=1.0)) is l_r
 
     same = np.array([[1.0, 2.0], [3.0, -1.0]])
-    cos0 = negative_cosine_loss(T(same), T(same * 2.0), True).item()
-    cos1 = negative_cosine_loss(T([[1.0, 0.0]]), T([[0.0, 5.0]]), True).item()
-    cos4 = negative_cosine_loss(T([[1.0, 1.0]]), T([[-3.0, -3.0]]), True).item()
+    cos0 = negative_cosine_loss(T(same), T(same * 2.0)).item()
+    cos1 = negative_cosine_loss(T([[1.0, 0.0]]), T([[0.0, 5.0]])).item()
+    cos4 = negative_cosine_loss(T([[1.0, 1.0]]), T([[-3.0, -3.0]])).item()
     hand = combined_loss(T(1.0), T(0.0), LossConfig(lam=0.0, gamma=1.0)).item()
     hand_ref = float(np.log1p(np.exp(1.0 - 1e-8)))  # = 1.3132616...
     ok = (collapse

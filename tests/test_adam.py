@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nadex import kernel as K
+from nadex.kernel import tensor as K
 from nadex.errors import NumericsError
 from nadex.kernel.optim import Adam
 

@@ -263,6 +263,26 @@ def test_predict_inverse_relation_is_valid(workspace):
     assert code == 0, err
 
 
+_QUERY = ["--subject", "0", "--relation", "0", "--time", "55"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", *_QUERY, "--top-k", "-3"],
+    ["predict", *_QUERY, "--top-k", "0"],
+    ["predict", *_QUERY, "--seed", "-1"],
+    ["eval", "--split", "valid", "--seed", "-1"],
+    ["eval", "--split", "valid", "--k", "0"],
+], ids=["top-k-negative", "top-k-zero", "predict-seed-negative",
+        "eval-seed-negative", "eval-k-zero"])
+def test_bad_flag_value_is_exit_2(workspace, argv):
+    code, out, err = run_cli([argv[0], "--checkpoint", str(workspace.ckpt),
+                              *argv[1:]])
+    assert code == 2
+    assert err.startswith("error: ValidationError:")
+    assert argv[-2] in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # inspect-schedule
 

@@ -21,7 +21,7 @@ def test_parse_values_comments_and_blanks():
     hidden = 64        # narrow model
     lambda = 0.25
     dropout=0.0
-    untied_scoring = true
+    checkpoint = runs/12.ckpt
 
     epochs = 3
     """
@@ -29,7 +29,7 @@ def test_parse_values_comments_and_blanks():
     assert cfg.hidden == 64
     assert cfg.lam == 0.25
     assert cfg.dropout == 0.0
-    assert cfg.untied_scoring is True
+    assert cfg.checkpoint == "runs/12.ckpt"
     assert cfg.epochs == 3
     assert cfg.window == 8  # untouched keys keep defaults
 
@@ -39,6 +39,12 @@ def test_unknown_key_rejected_with_location():
         parse_config_text("hidden = 64\nhiden = 32\n")
     msg = str(exc.value)
     assert "line 2" in msg and "hiden" in msg
+    # keys of removed variants, which older checkpoints still echo
+    for key in ("refine_steps", "untied_scoring", "mask_duplicate_golds"):
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config_text(f"hidden = 64\n{key} = 0\n")
+        msg = str(exc.value)
+        assert "line 2" in msg and key in msg
 
 
 def test_missing_equals_rejected():
@@ -50,20 +56,11 @@ def test_missing_equals_rejected():
 @pytest.mark.parametrize("line,fragment", [
     ("hidden = twelve", "twelve"),
     ("lr = fast", "fast"),
-    ("untied_scoring = maybe", "boolean"),
 ])
 def test_bad_coercions_name_the_value(line, fragment):
     with pytest.raises(ConfigurationError) as exc:
         parse_config_text(line)
     assert fragment in str(exc.value)
-
-
-def test_bool_spellings():
-    for raw, expected in [("true", True), ("1", True), ("YES", True),
-                          ("on", True), ("false", False), ("0", False),
-                          ("No", False), ("off", False)]:
-        cfg = parse_config_text(f"untied_scoring = {raw}")
-        assert cfg.untied_scoring is expected
 
 
 def test_override_beats_file(tmp_path):
@@ -103,7 +100,7 @@ def test_lambda_alias_both_directions():
 
 def test_to_text_roundtrip():
     cfg = finalize(RunConfig(hidden=48, layers=1, heads=2, dropout=0.1,
-                             lam=0.3, untied_scoring=True, epochs=2),
+                             lam=0.3, eval_k=3, epochs=2),
                    env={})
     back = finalize(parse_config_text(cfg.to_text()), env={})
     assert back == cfg

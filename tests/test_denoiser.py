@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from nadex import data, denoiser, diffusion, kernel as K, objectives
+from nadex import data, denoiser, diffusion, objectives
 from nadex.errors import ConfigurationError, ContractError
 from nadex.kernel import optim
+from nadex.kernel import tensor as K
 
 from helpers import random_batch, tiny_model
 
@@ -76,13 +77,9 @@ def test_config_validation():
     assert cfg.ffn == 64  # default expands to 4h
 
 
-def test_untied_scoring_adds_separate_table():
-    _, _, tied, _ = tiny_model()
-    _, _, untied, _ = tiny_model(untied=True)
-    assert "scoring_table" not in tied.tensors
-    assert "scoring_table" in untied.tensors
-    assert untied.scoring_table() is untied.tensors["scoring_table"]
-    assert tied.scoring_table() is tied.tensors["entity_table"]
+def test_scoring_table_is_entity_table():
+    _, _, params, _ = tiny_model()
+    assert params.scoring_table() is params.tensors["entity_table"]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from nadex import diffusion as DF
-from nadex import kernel as K
+from nadex.kernel import tensor as K
 from nadex.errors import ConfigurationError
 
 
@@ -106,55 +106,27 @@ def test_diffuse_near_identity_at_tiny_delta():
     assert np.allclose(out.data, clean, rtol=0.0, atol=1e-12)
 
 
-def test_forward_records_noise_and_is_reproducible():
-    s = DF.build_schedule(m_steps=4, delta=1.0, alpha_min=0.05,
-                          alpha_max=0.8)
-    rng = np.random.default_rng(7)
-    clean_pos = np.random.default_rng(2).normal(size=(5, 3))
-    clean_neg = np.random.default_rng(3).normal(size=(5, 3))
-    out = DF.forward_diffuse(T(clean_pos), T(clean_neg), 2, s, rng)
-    assert out.m == 2
-    assert not np.array_equal(out.eps_pos, out.eps_neg)
-    again = DF.forward_diffuse(T(clean_pos), T(clean_neg), 2, s,
-                               np.random.default_rng(7))
-    assert np.array_equal(out.o_m_pos.data, again.o_m_pos.data)
-    assert np.array_equal(out.o_m_neg.data, again.o_m_neg.data)
-
-
-def test_forward_recompute_invariant_bitwise():
-    s = DF.build_schedule(m_steps=6, delta=1.0, alpha_min=0.02,
-                          alpha_max=0.9)
-    rng = np.random.default_rng(11)
-    clean_pos = rng.normal(size=(4, 5))
-    clean_neg = rng.normal(size=(4, 5))
-    out = DF.forward_diffuse(T(clean_pos), T(clean_neg), 5, s, rng)
-    re_pos = DF.diffuse(T(clean_pos), 5, s, out.eps_pos)
-    re_neg = DF.diffuse(T(clean_neg), 5, s, out.eps_neg)
-    assert np.array_equal(out.o_m_pos.data, re_pos.data)
-    assert np.array_equal(out.o_m_neg.data, re_neg.data)
-
-
 def test_forward_then_algebraic_inversion_recovers_clean():
     s = DF.build_schedule(m_steps=10, delta=1.0, alpha_min=0.01,
                           alpha_max=0.99)
     rng = np.random.default_rng(4)
     clean = rng.normal(size=(6, 8)) + 0.5
     for m in (1, 5, 10):
-        out = DF.forward_diffuse(T(clean), T(clean), m, s, rng)
-        inverted = ((out.o_m_pos.data -
-                     s.sqrt_one_minus(m) * out.eps_pos) /
-                    s.sqrt_alpha_bar(m))
+        eps = rng.standard_normal(clean.shape)
+        rng.standard_normal(clean.shape)  # the negative branch's draw
+        out = DF.diffuse(T(clean), m, s, eps)
+        inverted = (out.data - s.sqrt_one_minus(m) * eps) / s.sqrt_alpha_bar(m)
         rel = np.abs(inverted - clean) / np.maximum(np.abs(clean), 1e-12)
         assert np.max(rel) <= 1e-10
 
 
 def test_forward_rejects_out_of_range_step():
     s = DF.build_schedule(m_steps=3, delta=1.0, alpha_min=0.1, alpha_max=0.5)
-    rng = np.random.default_rng(0)
+    eps = np.random.default_rng(0).standard_normal((2, 2))
     with pytest.raises(IndexError):
-        DF.forward_diffuse(T(np.ones((2, 2))), T(np.ones((2, 2))), 4, s, rng)
+        DF.diffuse(T(np.ones((2, 2))), 4, s, eps)
     with pytest.raises(IndexError):
-        DF.forward_diffuse(T(np.ones((2, 2))), T(np.ones((2, 2))), 0, s, rng)
+        DF.diffuse(T(np.ones((2, 2))), 0, s, eps)
 
 
 def test_monte_carlo_moments_at_three_steps():
@@ -166,8 +138,9 @@ def test_monte_carlo_moments_at_three_steps():
     rng = np.random.default_rng(123)
     for m in (1, 5, 10):
         noise_var = s.one_minus_alpha_bar[m - 1]
-        out = DF.forward_diffuse(T(clean), T(clean), m, s, rng)
-        draws = out.o_m_pos.data
+        eps = rng.standard_normal(clean.shape)
+        rng.standard_normal(clean.shape)  # the negative branch's draw
+        draws = DF.diffuse(T(clean), m, s, eps).data
         target_mean = s.sqrt_alpha_bar(m) * base
         # per-coordinate mean: 3-sigma band of the estimator
         band = 3.0 * np.sqrt(noise_var) / np.sqrt(n)

@@ -7,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from nadex import data, denoiser, diffusion, kernel as K, objectives
+from nadex import data, denoiser, diffusion, objectives
 from nadex.errors import NumericsError, ValidationError
 from nadex.kernel import optim
+from nadex.kernel import tensor as K
 from nadex.objectives import (LossConfig, combined_loss, compute_batch_loss,
                               negative_cosine_loss, reconstruction_loss,
                               train_epoch, train_step)
@@ -60,35 +61,41 @@ def test_recon_gold_out_of_range_rejected():
 def test_cosine_identity_rows_zero_loss():
     rng = np.random.default_rng(0)
     e = rng.normal(size=(4, 6))
-    loss = negative_cosine_loss(T(e), T(e.copy()), neg_applied=True)
+    loss = negative_cosine_loss(T(e), T(e.copy()))
     assert loss.item() == pytest.approx(0.0, abs=1e-24)
 
 
 def test_cosine_orthogonal_rows_loss_one():
     a = T([[1.0, 0.0], [0.0, 2.0]])
     b = T([[0.0, 3.0], [5.0, 0.0]])
-    loss = negative_cosine_loss(a, b, neg_applied=True)
+    loss = negative_cosine_loss(a, b)
     assert loss.item() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cosine_antiparallel_rows_loss_four():
     a = T([[1.0, 1.0]])
     b = T([[-2.0, -2.0]])
-    loss = negative_cosine_loss(a, b, neg_applied=True)
+    loss = negative_cosine_loss(a, b)
     assert loss.item() == pytest.approx(4.0, abs=1e-12)
 
 
 def test_cosine_skipped_when_not_applied():
-    a = T([[1.0, 0.0]])
-    b = T([[-1.0, 0.0]])
-    loss = negative_cosine_loss(a, b, neg_applied=False)
-    assert loss.item() == 0.0
+    # one row has no peers to average: the batch loss takes L_neg = 0
+    cfg, vocab, params, sched = tiny_model()
+    rng = np.random.default_rng(0)
+    batch = random_batch(rng, 1, cfg.window, vocab.num_entities,
+                         vocab.num_relations, cfg.dt_max)
+    eps = rng.normal(size=(1, cfg.hidden))
+    _, _, l_neg, neg_applied = compute_batch_loss(
+        params, batch, sched, LossConfig(), 2, eps, eps)
+    assert not neg_applied
+    assert l_neg.item() == 0.0
 
 
 def test_cosine_zero_norm_row_contributes_one():
     a = T([[0.0, 0.0], [1.0, 0.0]])
     b = T([[1.0, 1.0], [1.0, 0.0]])
-    loss = negative_cosine_loss(a, b, neg_applied=True)
+    loss = negative_cosine_loss(a, b)
     # first row: cos forced to 0 by the zero-normalize fallback -> (0-1)^2
     assert loss.item() == pytest.approx(0.5, abs=1e-12)
 
@@ -100,7 +107,7 @@ def test_cosine_range_property():
         h = int(rng.integers(1, 9))
         a = rng.normal(size=(n, h)) * rng.choice([1e-3, 1.0, 1e3])
         b = rng.normal(size=(n, h))
-        val = negative_cosine_loss(T(a), T(b), neg_applied=True).item()
+        val = negative_cosine_loss(T(a), T(b)).item()
         assert 0.0 <= val <= 4.0 + 1e-12
 
 

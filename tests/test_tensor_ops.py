@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nadex import kernel as K
+from nadex.kernel import tensor as K
 from nadex.errors import (ConfigurationError, ContractError, DomainError,
                           ShapeMismatchError, UnknownIdError)
 
