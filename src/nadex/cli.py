@@ -41,35 +41,48 @@ from .kernel import tensor as T
 from .objectives import train_epoch
 
 
+SPLITS = ("train", "valid", "test")
+
+
 def _split_path(cfg, name):
     return os.path.join(cfg.data_dir, f"{name}.txt")
 
 
-def _load_splits(cfg):
-    """Parse all three splits, derive the vocabulary, augment inverses, and
-    build histories over the merged chronological stream."""
+def _read_splits(cfg, vocab=None):
+    """Parse the splits into ``(vocab, {name: inverse-augmented quads})``.
+
+    ``vocab`` defaults to the splits' own. A checkpoint's keeps the inverse
+    relation ids the model was trained with; splits exceeding it are rejected.
+    """
     raw = {}
-    for name in ("train", "valid", "test"):
+    for name in SPLITS:
         path = _split_path(cfg, name)
         if not os.path.isfile(path):
             raise ConfigurationError(f"{name} split not found: {path}")
         raw[name] = parse_quadruples(path, cfg.granularity)
     if not raw["train"]:
         raise ValidationError(f"train split is empty: {_split_path(cfg, 'train')}")
-    vocab = build_vocabulary(raw["train"], raw["valid"], raw["test"])
-    aug = {name: augment_inverse(quads, vocab) for name, quads in raw.items()}
+    found = build_vocabulary(*raw.values())
+    if vocab is None:
+        vocab = found
+    elif (found.num_entities > vocab.num_entities
+            or found.num_relations_base > vocab.num_relations_base):
+        raise ValidationError(
+            f"split vocabulary ({found.num_entities} entities, "
+            f"{found.num_relations_base} relations) exceeds the checkpoint's"
+        )
+    return vocab, {name: augment_inverse(quads, vocab) for name, quads in raw.items()}
 
-    labeled = []
-    for idx, name in enumerate(("train", "valid", "test")):
-        labeled += [(q, idx) for q in aug[name]]
-    labeled.sort(key=lambda pair: pair[0].t)
-    stream = [q for q, _ in labeled]
-    samples = build_histories(stream, cfg.window, cfg.dt_max)
-    per_split = {"train": [], "valid": [], "test": []}
-    names = ("train", "valid", "test")
-    for sample, (_, idx) in zip(samples, labeled):
-        per_split[names[idx]].append(sample)
-    return raw, aug, vocab, per_split, stream
+
+def _split_histories(cfg, aug):
+    """Histories over the merged chronological stream, regrouped by split."""
+    labeled = sorted(((q, name) for name in SPLITS for q in aug[name]),
+                     key=lambda pair: pair[0].t)
+    samples = build_histories([q for q, _ in labeled], cfg.window, cfg.dt_max)
+    per_split = {name: [] for name in SPLITS}
+    for sample, (_, name) in zip(samples, labeled):
+        per_split[name].append(sample)
+    return per_split
 
 
 def _eval_split(cfg, split_samples, params, schedule, filter_index,
@@ -86,7 +99,8 @@ def cmd_train(args):
     if args.data_dir:
         cfg.data_dir = args.data_dir
         cfg.validate()
-    _, aug, vocab, per_split, _ = _load_splits(cfg)
+    vocab, aug = _read_splits(cfg)
+    per_split = _split_histories(cfg, aug)
     schedule = cfg.schedule()
     params = init_params(cfg.denoiser_config(), vocab, cfg.seed)
     optimizer = Adam(params.tensors, lr=cfg.lr)
@@ -140,17 +154,11 @@ def cmd_eval(args):
     _check_flag("--k", args.k, 1)
     _check_flag("--seed", args.seed, 0)
     loaded, cfg, vocab, params = _load_checkpoint(args)
-    _, aug, vocab2, per_split, _ = _load_splits(cfg)
-    if (vocab2.num_entities > vocab.num_entities
-            or vocab2.num_relations_base > vocab.num_relations_base):
-        raise ValidationError(
-            f"split vocabulary ({vocab2.num_entities} entities, "
-            f"{vocab2.num_relations_base} relations) exceeds the checkpoint's"
-        )
+    _, aug = _read_splits(cfg, vocab)
     schedule = cfg.schedule()
     filter_index = build_filter_index(aug["train"], aug["valid"], aug["test"])
     train_triples = training_triples(aug["train"])
-    samples = per_split[args.split]
+    samples = _split_histories(cfg, aug)[args.split]
     if args.unseen_only:
         samples = [s for s in samples if (s.s, s.r, s.o) not in train_triples]
         if not samples:
@@ -182,8 +190,11 @@ def cmd_predict(args):
             f"relation {args.relation} outside augmented relation vocabulary "
             f"[0, {vocab.num_relations})"
         )
-    _, _, _, _, stream = _load_splits(cfg)
-    past = [q for q in stream if q.s == args.subject and q.t < args.time]
+    _, aug = _read_splits(cfg, vocab)
+    # a stable sort keeps the merged stream's order among equal timestamps
+    past = sorted((q for name in SPLITS for q in aug[name]
+                   if q.s == args.subject and q.t < args.time),
+                  key=lambda q: q.t)
     query = Quadruple(args.subject, args.relation, 0, args.time)
     sample = build_histories(past[-cfg.window :] + [query], cfg.window,
                              cfg.dt_max)[-1]

@@ -20,6 +20,7 @@ SEED_ENV_VAR = "NADEX_SEED"
 
 # file/CLI key -> dataclass field (only where names differ)
 _KEY_ALIASES = {"lambda": "lam"}
+_FIELD_KEYS = {name: key for key, name in _KEY_ALIASES.items()}
 
 
 @dataclass
@@ -91,7 +92,7 @@ class RunConfig:
     def to_text(self):
         lines = []
         for f in dataclasses.fields(self):
-            key = "lambda" if f.name == "lam" else f.name
+            key = _FIELD_KEYS.get(f.name, f.name)
             lines.append(f"{key} = {getattr(self, f.name)}")
         return "\n".join(lines) + "\n"
 

@@ -53,10 +53,8 @@ class DenoiserConfig:
 class DenoiserParams:
     """Named trainable tensors; iteration order is creation order."""
 
-    def __init__(self, config, num_entities, num_relations):
+    def __init__(self, config):
         self.config = config
-        self.num_entities = num_entities
-        self.num_relations = num_relations
         self.tensors = {}
 
     def add(self, name, array):
@@ -73,11 +71,6 @@ class DenoiserParams:
         input and output entity embeddings are tied."""
         return self.tensors["entity_table"]
 
-    def check_finite(self):
-        for name, t in self.tensors.items():
-            if not np.all(np.isfinite(t.data)):
-                raise ContractError(f"parameter '{name}' contains non-finite values")
-
 
 def _xavier(rng, fan_in, fan_out):
     limit = math.sqrt(6.0 / (fan_in + fan_out))
@@ -92,7 +85,7 @@ def init_params(config, vocab, seed):
     """
     rng = np.random.default_rng(seed)
     h = config.hidden
-    p = DenoiserParams(config, vocab.num_entities, vocab.num_relations)
+    p = DenoiserParams(config)
 
     def emb(rows):
         return rng.normal(0.0, 0.02, size=(rows, h))

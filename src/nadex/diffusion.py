@@ -19,9 +19,6 @@ from .kernel import tensor as T
 @dataclass(frozen=True)
 class NoiseSchedule:
     m_steps: int
-    delta: float
-    alpha_min: float
-    alpha_max: float
     one_minus_alpha_bar: np.ndarray  # [M], index m-1
     alpha_bar: np.ndarray  # [M]
 
@@ -66,9 +63,6 @@ def build_schedule(m_steps=50, delta=1.0, alpha_min=0.01, alpha_max=0.99):
         raise ConfigurationError("schedule failed to increase strictly")
     return NoiseSchedule(
         m_steps=m_steps,
-        delta=delta,
-        alpha_min=alpha_min,
-        alpha_max=alpha_max,
         one_minus_alpha_bar=noise,
         alpha_bar=1.0 - noise,
     )

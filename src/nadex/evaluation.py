@@ -18,8 +18,6 @@ from .diffusion import make_inference_input
 from .errors import ParseError, ValidationError
 from .kernel import tensor as T
 
-HITS_LEVELS = (1, 3, 10)
-
 
 def build_filter_index(*augmented_splits):
     """Exhaustive (s, r, t) -> set of gold objects over the given splits."""

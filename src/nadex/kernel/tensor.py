@@ -81,8 +81,6 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False):
-        if isinstance(data, Tensor):
-            data = data.data
         self.data = np.ascontiguousarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -107,33 +105,8 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def zero_grad(self):
-        self.grad = None
-
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-
-def as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def constant(array):
@@ -142,7 +115,10 @@ def constant(array):
 
 
 def record_op(out, parents, backward_fn):
-    """Attach a custom backward closure to the active tape (public hook)."""
+    """Attach a custom backward closure to the active tape (public hook).
+
+    Only ops with a grad-requiring parent are taped, so a single-parent
+    closure may assume its parent requires grad."""
     tape = active_tape()
     if tape is not None and any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -187,7 +163,6 @@ def backward(loss):
 
 
 def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data + b.data)
 
     def bwd(g):
@@ -200,7 +175,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data - b.data)
 
     def bwd(g):
@@ -213,7 +187,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data * b.data)
 
     def bwd(g):
@@ -230,8 +203,7 @@ def scale(a, s):
     out = Tensor(a.data * s)
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * s)
+        a.accumulate_grad(g * s)
 
     return record_op(out, (a,), bwd)
 
@@ -241,8 +213,7 @@ def add_scalar(a, c):
     out = Tensor(a.data + c)
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate_grad(g)
+        a.accumulate_grad(g)
 
     return record_op(out, (a,), bwd)
 
@@ -302,8 +273,7 @@ def sigmoid(x):
     out = Tensor(out_data)
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * out_data * (1.0 - out_data))
+        x.accumulate_grad(g * out_data * (1.0 - out_data))
 
     return record_op(out, (x,), bwd)
 
@@ -314,8 +284,7 @@ def log(x):
     out = Tensor(np.log(x.data))
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g / x.data)
+        x.accumulate_grad(g / x.data)
 
     return record_op(out, (x,), bwd)
 
@@ -325,8 +294,7 @@ def relu(x):
     out = Tensor(np.where(mask, x.data, 0.0))
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * mask)
+        x.accumulate_grad(g * mask)
 
     return record_op(out, (x,), bwd)
 
@@ -335,13 +303,9 @@ def sum(x, axis=None, keepdims=False):
     out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
 
     def bwd(g):
-        if x.requires_grad:
-            if axis is None:
-                x.accumulate_grad(np.broadcast_to(g, x.shape))
-            else:
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                x.accumulate_grad(np.broadcast_to(g, x.shape))
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        x.accumulate_grad(np.broadcast_to(g, x.shape))
 
     return record_op(out, (x,), bwd)
 
@@ -354,10 +318,9 @@ def mean(x, axis=None, keepdims=False):
     out = Tensor(x.data.mean(axis=axis, keepdims=keepdims))
 
     def bwd(g):
-        if x.requires_grad:
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            x.accumulate_grad(np.broadcast_to(g, x.shape) / count)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        x.accumulate_grad(np.broadcast_to(g, x.shape) / count)
 
     return record_op(out, (x,), bwd)
 
@@ -373,9 +336,8 @@ def softmax(x, temperature=1.0, axis=-1):
     out = Tensor(y)
 
     def bwd(g):
-        if x.requires_grad:
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            x.accumulate_grad((g - dot) * y / temperature)
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        x.accumulate_grad((g - dot) * y / temperature)
 
     return record_op(out, (x,), bwd)
 
@@ -389,10 +351,9 @@ def l2_normalize(x, axis=-1):
     out = Tensor(y)
 
     def bwd(g):
-        if x.requires_grad:
-            dot = (g * y).sum(axis=axis, keepdims=True)
-            gx = (g - y * dot) / safe
-            x.accumulate_grad(np.where(zero, 0.0, gx))
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        gx = (g - y * dot) / safe
+        x.accumulate_grad(np.where(zero, 0.0, gx))
 
     return record_op(out, (x,), bwd)
 
@@ -438,8 +399,7 @@ def dropout(x, rate, rng, train_mode):
     out = Tensor(x.data * factor)
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * factor)
+        x.accumulate_grad(g * factor)
 
     return record_op(out, (x,), bwd)
 
@@ -464,11 +424,10 @@ def embedding_gather(table, ids):
     out = Tensor(table.data[ids.reshape(-1)].reshape(ids.shape + (table.shape[1],)))
 
     def bwd(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            # unbuffered: duplicate ids accumulate, in the order of ``ids``
-            np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        # unbuffered: duplicate ids accumulate, in the order of ``ids``
+        np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.shape[1]))
 
     return record_op(out, (table,), bwd)
 
@@ -483,10 +442,9 @@ def gather_rows_at(x, col_ids):
     out = Tensor(x.data[rows, col_ids])
 
     def bwd(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[rows, col_ids] = g
-            x.accumulate_grad(gx)
+        gx = np.zeros_like(x.data)
+        gx[rows, col_ids] = g
+        x.accumulate_grad(gx)
 
     return record_op(out, (x,), bwd)
 
@@ -495,8 +453,7 @@ def reshape(x, shape):
     out = Tensor(x.data.reshape(shape))
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(x.shape))
+        x.accumulate_grad(g.reshape(x.shape))
 
     return record_op(out, (x,), bwd)
 
@@ -507,14 +464,12 @@ def transpose(x, axes):
     out = Tensor(x.data.transpose(axes))
 
     def bwd(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.transpose(inverse))
+        x.accumulate_grad(g.transpose(inverse))
 
     return record_op(out, (x,), bwd)
 
 
 def concat(tensors, axis):
-    tensors = [as_tensor(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
@@ -532,11 +487,10 @@ def take(x, index, axis):
     out = Tensor(np.take(x.data, index, axis=axis))
 
     def bwd(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            sl = [slice(None)] * x.ndim
-            sl[axis] = index
-            gx[tuple(sl)] = g
-            x.accumulate_grad(gx)
+        gx = np.zeros_like(x.data)
+        sl = [slice(None)] * x.ndim
+        sl[axis] = index
+        gx[tuple(sl)] = g
+        x.accumulate_grad(gx)
 
     return record_op(out, (x,), bwd)

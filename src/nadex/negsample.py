@@ -48,9 +48,8 @@ def negative_prototypes(target_embeddings):
     out = T.Tensor(sums / (n - 1))
 
     def bwd(g):
-        if e.requires_grad:
-            # each e_j feeds every row except its own, at weight 1/(N-1)
-            e.accumulate_grad((g.sum(axis=0, keepdims=True) - g) / (n - 1))
+        # each e_j feeds every row except its own, at weight 1/(N-1)
+        e.accumulate_grad((g.sum(axis=0, keepdims=True) - g) / (n - 1))
 
     return NegativePrototypeBatch(
         prototypes=T.record_op(out, (e,), bwd), valid=True

@@ -283,6 +283,64 @@ def test_bad_flag_value_is_exit_2(workspace, argv):
     assert out == ""
 
 
+def test_predict_builds_histories_over_one_window(workspace, monkeypatch):
+    calls = []
+    real = cli.build_histories
+
+    def recording(quads, window, dt_max):
+        calls.append(list(quads))
+        return real(quads, window, dt_max)
+
+    monkeypatch.setattr(cli, "build_histories", recording)
+    code, out, err = run_cli(["predict", "--checkpoint", str(workspace.ckpt),
+                              *_QUERY])
+    assert code == 0, err
+    assert len(calls) == 1
+    assert len(calls[0]) <= 4 + 1  # window = 4 in CONFIG_TEMPLATE, plus the query
+    assert all(q.s == 0 for q in calls[0])
+
+
+@pytest.mark.parametrize("argv", [["eval"], ["predict", *_QUERY]],
+                         ids=["eval", "predict"])
+@pytest.mark.parametrize("entities,relations", [(6, 2), (5, 3)],
+                         ids=["extra-entity", "extra-relation"])
+def test_splits_exceeding_checkpoint_vocabulary_is_exit_2(
+        workspace, tmp_path, argv, entities, relations):
+    synthetic.write_splits(tmp_path, synthetic.cyclic_tkg(entities, relations, 60))
+    code, out, err = run_cli([argv[0], "--checkpoint", str(workspace.ckpt),
+                              "--data-dir", str(tmp_path), *argv[1:]])
+    assert code == 2
+    assert err.startswith("error: ValidationError:")
+    assert "exceeds the checkpoint's" in err
+
+
+def test_eval_augments_inverses_with_checkpoint_vocabulary(tmp_path, monkeypatch):
+    quads = synthetic.cyclic_tkg(5, 3, 60)
+    synthetic.write_splits(tmp_path / "full", quads)
+    synthetic.write_splits(tmp_path / "partial", [q for q in quads if q.r != 2])
+    ckpt_path = tmp_path / "model.ckpt"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(CONFIG_TEMPLATE.format(data_dir=tmp_path / "full",
+                                               ckpt=ckpt_path))
+    code, out, err = run_cli(["train", "--config", str(cfg_path),
+                              "--set", "epochs=1"])
+    assert code == 0, err
+    seen = []
+    real = cli.evaluate
+
+    def recording(samples, *args, **kwargs):
+        seen.extend(samples)
+        return real(samples, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evaluate", recording)
+    code, out, err = run_cli(["eval", "--checkpoint", str(ckpt_path),
+                              "--data-dir", str(tmp_path / "partial")])
+    assert code == 0, err
+    # the model was trained on 3 base relations, so inverse r is r + 3 even
+    # though the evaluated splits only use relations 0 and 1
+    assert {s.r for s in seen} == {0, 1, 3, 4}
+
+
 # ---------------------------------------------------------------------------
 # inspect-schedule
 

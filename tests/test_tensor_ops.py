@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nadex.kernel import tensor as K
+from nadex.negsample import negative_prototypes
 from nadex.errors import (ConfigurationError, ContractError, DomainError,
                           ShapeMismatchError, UnknownIdError)
 
@@ -315,6 +316,38 @@ def test_duplicate_use_accumulates():
     with K.Tape().active():
         K.backward(K.sum(K.add(x, x)))
     assert np.array_equal(x.grad, [2.0, 2.0])
+
+
+# Single-parent backward closures carry no requires_grad guard: record_op
+# only tapes an op when its one parent requires grad.
+_SINGLE_PARENT_OPS = {
+    "scale": lambda x: K.scale(x, 2.0),
+    "add_scalar": lambda x: K.add_scalar(x, 1.0),
+    "sigmoid": K.sigmoid,
+    "log": K.log,
+    "relu": K.relu,
+    "sum": lambda x: K.sum(x, axis=0),
+    "mean": lambda x: K.mean(x, axis=1),
+    "softmax": K.softmax,
+    "l2_normalize": K.l2_normalize,
+    "dropout": lambda x: K.dropout(x, 0.5, np.random.default_rng(0), True),
+    "embedding_gather": lambda x: K.embedding_gather(x, [1, 0, 1]),
+    "gather_rows_at": lambda x: K.gather_rows_at(x, [2, 0]),
+    "reshape": lambda x: K.reshape(x, (3, 2)),
+    "transpose": lambda x: K.transpose(x, (1, 0)),
+    "take": lambda x: K.take(x, 1, axis=1),
+    "negative_prototypes": lambda x: negative_prototypes(x).prototypes,
+}
+
+
+@pytest.mark.parametrize("op", sorted(_SINGLE_PARENT_OPS))
+def test_single_parent_op_on_constant_records_nothing(op):
+    x = K.constant(np.arange(1.0, 7.0).reshape(2, 3))
+    tape = K.Tape()
+    with tape.active():
+        out = _SINGLE_PARENT_OPS[op](x)
+    assert len(tape) == 0
+    assert not out.requires_grad
 
 
 # ---------------------------------------------------------------------------
