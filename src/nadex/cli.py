@@ -90,7 +90,7 @@ def _eval_split(cfg, split_samples, params, schedule, filter_index,
     return evaluate(
         split_samples, params, schedule, filter_index, tau=cfg.tau,
         seed=seed, k_repeats=k_repeats, train_triples=train_triples,
-        chunk_size=cfg.eval_chunk, workers=cfg.workers,
+        workers=cfg.workers,
     )
 
 
@@ -106,7 +106,6 @@ def cmd_train(args):
     optimizer = Adam(params.tensors, lr=cfg.lr)
     batches = batch_by_timestamp(per_split["train"], cfg.b_max)
     filter_index = build_filter_index(aug["train"], aug["valid"], aug["test"])
-    train_triples = training_triples(aug["train"])
     rng = np.random.default_rng(cfg.seed)
     loss_cfg = cfg.loss_config()
 
@@ -159,11 +158,6 @@ def cmd_eval(args):
     filter_index = build_filter_index(aug["train"], aug["valid"], aug["test"])
     train_triples = training_triples(aug["train"])
     samples = _split_histories(cfg, aug)[args.split]
-    if args.unseen_only:
-        samples = [s for s in samples if (s.s, s.r, s.o) not in train_triples]
-        if not samples:
-            raise ValidationError(f"unseen subset of '{args.split}' is empty")
-        train_triples = None  # subset already restricted
     seed = cfg.seed if args.seed is None else args.seed
     k_repeats = cfg.eval_k if args.k is None else args.k
     report = _eval_split(cfg, samples, params, schedule, filter_index,
@@ -252,9 +246,6 @@ def build_parser():
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--split", choices=("valid", "test"), default="test")
-    p_eval.add_argument("--unseen-only", action="store_true",
-                        help="restrict to queries whose (s, r, o) never "
-                             "occurs in training")
     p_eval.add_argument("--k", type=int, default=None,
                         help="noise draws averaged per query")
     p_eval.add_argument("--seed", type=int, default=None)

@@ -32,7 +32,6 @@ class RunConfig:
     hidden: int = 200
     layers: int = 2
     heads: int = 4
-    ffn_hidden: int = 0
     dropout: float = 0.2
     m_steps: int = 50
     delta: float = 1.0
@@ -48,14 +47,13 @@ class RunConfig:
     checkpoint: str = "nadex.ckpt"
     eval_every: int = 1
     eval_k: int = 1
-    eval_chunk: int = 256
     workers: int = 0
 
     def denoiser_config(self):
         return DenoiserConfig(
             hidden=self.hidden, layers=self.layers, heads=self.heads,
-            ffn_hidden=self.ffn_hidden, dropout=self.dropout,
-            window=self.window, dt_max=self.dt_max, m_steps=self.m_steps,
+            dropout=self.dropout, window=self.window, dt_max=self.dt_max,
+            m_steps=self.m_steps,
         )
 
     def loss_config(self):
@@ -81,8 +79,8 @@ class RunConfig:
             raise ConfigurationError(f"b_max must be >= 2, got {self.b_max}")
         if self.eval_every < 1:
             raise ConfigurationError(f"eval_every must be >= 1, got {self.eval_every}")
-        if min(self.eval_k, self.eval_chunk) < 1:
-            raise ConfigurationError("eval_k and eval_chunk must be >= 1")
+        if self.eval_k < 1:
+            raise ConfigurationError(f"eval_k must be >= 1, got {self.eval_k}")
         if self.workers < 0:
             raise ConfigurationError(f"workers must be >= 0, got {self.workers}")
         if self.seed < 0:

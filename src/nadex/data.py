@@ -50,10 +50,6 @@ class HistorySample:
     hist_dt: np.ndarray  # [L] int64, min(t - t_i, dt_max); pad slots 0
     mask: np.ndarray  # [L] bool, True at real history positions
 
-    @property
-    def history_length(self):
-        return int(self.mask.sum())
-
 
 @dataclass(frozen=True)
 class TimestampBatch:

@@ -24,7 +24,6 @@ class DenoiserConfig:
     hidden: int = 200
     layers: int = 2
     heads: int = 4
-    ffn_hidden: int = 0  # 0 means 4 * hidden
     dropout: float = 0.2
     window: int = 8  # history length L; sequences have L + 1 slots
     dt_max: int = 512
@@ -43,7 +42,7 @@ class DenoiserConfig:
 
     @property
     def ffn(self):
-        return self.ffn_hidden if self.ffn_hidden > 0 else 4 * self.hidden
+        return 4 * self.hidden
 
     @property
     def max_seq(self):

@@ -15,7 +15,7 @@ import numpy as np
 from .data import stack_samples
 from .denoiser import denoise, embed_batch
 from .diffusion import make_inference_input
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .kernel import tensor as T
 
 
@@ -55,7 +55,7 @@ class MetricReport:
     hits3: float
     hits10: float
     query_count: int
-    ranks: Optional[np.ndarray] = None
+    ranks: np.ndarray
     unseen: Optional["MetricReport"] = None
 
     @staticmethod
@@ -99,33 +99,6 @@ class MetricReport:
         return "\n".join(lines)
 
 
-def report_from_tsv(text):
-    """Parse the tab-separated report format back (per-query ranks are not
-    serialized, so the parsed report carries metrics only)."""
-    fields = {}
-    counts = {}
-    for lineno, line in enumerate(text.strip().splitlines(), start=1):
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ParseError(f"report line {lineno}: expected 3 fields")
-        fields[parts[0]] = float(parts[1])
-        counts[parts[0]] = int(parts[2])
-    try:
-        unseen = None
-        if "unseen_mrr" in fields:
-            unseen = MetricReport(
-                mrr=fields["unseen_mrr"], hits1=fields["unseen_hits1"],
-                hits3=fields["unseen_hits3"], hits10=fields["unseen_hits10"],
-                query_count=counts["unseen_mrr"],
-            )
-        return MetricReport(
-            mrr=fields["mrr"], hits1=fields["hits1"], hits3=fields["hits3"],
-            hits10=fields["hits10"], query_count=counts["mrr"], unseen=unseen,
-        )
-    except KeyError as missing:
-        raise ParseError(f"report is missing metric {missing}") from None
-
-
 def _score_chunk(params, schedule, chunk, noise_draws):
     """Average raw entity scores over the supplied noise draws."""
     with T.no_grad():
@@ -156,6 +129,8 @@ def evaluate(samples, params, schedule, filter_index, tau, seed, k_repeats=1,
         raise ValidationError("no evaluation queries supplied")
     if k_repeats < 1:
         raise ValidationError(f"k_repeats must be >= 1, got {k_repeats}")
+    if chunk_size < 1:
+        raise ValidationError(f"chunk_size must be >= 1, got {chunk_size}")
     if tau <= 0.0:
         raise ValidationError(f"tau must be positive, got {tau}")
     rng = np.random.default_rng(seed)

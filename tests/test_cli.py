@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from nadex import checkpoint, cli, synthetic
-from nadex.evaluation import report_from_tsv
 
 
 def run_cli(argv):
@@ -129,10 +128,11 @@ def test_eval_reproduces_stored_best_mrr_exactly(workspace, tmp_path):
         "--out", str(out_path)])
     assert code == 0, err
     assert "queries=" in out and "mrr" in out
-    report = report_from_tsv(out_path.read_text())
+    rows = [line.split("\t") for line in out_path.read_text().splitlines()]
+    mrr = [float(value) for name, value, _ in rows if name == "mrr"]
     stored = checkpoint.load(workspace.ckpt)["best_valid_mrr"]
     # same seed, same draw count -> bit-identical metric
-    assert report.mrr == stored
+    assert mrr == [stored]
 
 
 def test_eval_different_seed_changes_scores(workspace):
@@ -155,11 +155,36 @@ def test_eval_reports_unseen_subset_rows(workspace):
     assert "unseen_mrr" not in out
 
 
-def test_eval_unseen_only_empty_is_exit_2(workspace):
+def test_eval_reports_unseen_rows_on_mixed_split(workspace, tmp_path):
+    # the test split (t >= 54) moves odd subjects' objects off the cycle, so
+    # their triples are unseen in training while even subjects' stay seen
+    quads = [q if q.t < 54 or q.s % 2 == 0 else q._replace(o=(q.o + 1) % 5)
+             for q in synthetic.cyclic_tkg(5, 2, 60)]
+    train, _, test = synthetic.write_splits(tmp_path, quads)
+
+    def both_directions(split):  # inverse relation r + 2: 2 base relations
+        return ([(q.s, q.r, q.o) for q in split]
+                + [(q.o, q.r + 2, q.s) for q in split])
+
+    seen = set(both_directions(train))
+    test_triples = both_directions(test)
+    unseen = sum(triple not in seen for triple in test_triples)
+    assert 0 < unseen < len(test_triples)
+
+    out_path = tmp_path / "report.tsv"
     code, out, err = run_cli(["eval", "--checkpoint", str(workspace.ckpt),
-                              "--split", "test", "--unseen-only"])
-    assert code == 2
-    assert "unseen subset of 'test' is empty" in err
+                              "--data-dir", str(tmp_path), "--split", "test",
+                              "--out", str(out_path)])
+    assert code == 0, err
+    assert f"queries={len(test_triples)}" in out
+    metrics = ("mrr", "hits1", "hits3", "hits10")
+    for name in metrics:
+        assert f"\nunseen_{name} " in out
+    rows = [line.split("\t") for line in out_path.read_text().splitlines()]
+    assert [name for name, _, _ in rows] == [
+        *metrics, *(f"unseen_{name}" for name in metrics)]
+    assert [int(count) for _, _, count in rows] == (
+        [len(test_triples)] * 4 + [unseen] * 4)
 
 
 def test_eval_missing_checkpoint_is_exit_2(workspace):

@@ -39,8 +39,9 @@ def test_unknown_key_rejected_with_location():
         parse_config_text("hidden = 64\nhiden = 32\n")
     msg = str(exc.value)
     assert "line 2" in msg and "hiden" in msg
-    # keys of removed variants, which older checkpoints still echo
-    for key in ("refine_steps", "untied_scoring", "mask_duplicate_golds"):
+    # keys of removed variants and knobs, which older checkpoints still echo
+    for key in ("refine_steps", "untied_scoring", "mask_duplicate_golds",
+                "ffn_hidden", "eval_chunk"):
         with pytest.raises(ConfigurationError) as exc:
             parse_config_text(f"hidden = 64\n{key} = 0\n")
         msg = str(exc.value)

@@ -138,7 +138,7 @@ def test_histories_hand_enumerated_toy_stream():
     samples = data.build_histories(quads, window=8, dt_max=512)
     last = samples[-1]
     assert (last.s, last.r, last.o, last.t) == (2, 1, 0, 9)
-    assert last.history_length == 3
+    assert int(last.mask.sum()) == 3
     assert list(last.mask) == [False] * 5 + [True] * 3
     assert list(last.hist_objects[5:]) == [4, 3, 1]
     assert list(last.hist_relations[5:]) == [0, 1, 0]
@@ -149,7 +149,7 @@ def test_history_first_fact_fully_padded():
     samples = data.build_histories([data.Quadruple(0, 0, 1, 3)],
                                    window=4, dt_max=16)
     assert len(samples) == 1
-    assert samples[0].history_length == 0
+    assert int(samples[0].mask.sum()) == 0
     assert not samples[0].mask.any()
 
 
@@ -158,7 +158,7 @@ def test_history_window_keeps_most_recent():
     quads.append(data.Quadruple(1, 0, 0, 100))
     samples = data.build_histories(quads, window=32, dt_max=512)
     last = samples[-1]
-    assert last.history_length == 32
+    assert int(last.mask.sum()) == 32
     assert list(last.hist_objects) == [k % 3 for k in range(68, 100)]
     assert list(last.hist_dt) == [100 - k for k in range(68, 100)]
 
@@ -176,9 +176,9 @@ def test_histories_same_timestamp_facts_do_not_leak():
         data.Quadruple(0, 0, 3, 6),
     ]
     samples = data.build_histories(quads, window=4, dt_max=16)
-    assert samples[0].history_length == 0
-    assert samples[1].history_length == 0
-    assert samples[2].history_length == 2
+    assert int(samples[0].mask.sum()) == 0
+    assert int(samples[1].mask.sum()) == 0
+    assert int(samples[2].mask.sum()) == 2
 
 
 def test_histories_require_sorted_input():
@@ -227,7 +227,7 @@ def test_histories_match_quadratic_rescan_oracle():
         for i, smp in enumerate(samples):
             o_ref, r_ref, dt_ref = brute_force_history(quads, i, window,
                                                        dt_max)
-            k = smp.history_length
+            k = int(smp.mask.sum())
             assert k == len(o_ref), f"trial {trial} sample {i}"
             assert list(smp.hist_objects[window - k:]) == o_ref
             assert list(smp.hist_relations[window - k:]) == r_ref

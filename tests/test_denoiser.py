@@ -73,8 +73,8 @@ def test_config_validation():
         denoiser.DenoiserConfig(hidden=0)
     with pytest.raises(ConfigurationError):
         denoiser.DenoiserConfig(dropout=1.0)
-    cfg = denoiser.DenoiserConfig(hidden=16, ffn_hidden=0)
-    assert cfg.ffn == 64  # default expands to 4h
+    cfg = denoiser.DenoiserConfig(hidden=16)
+    assert cfg.ffn == 64  # 4h
 
 
 def test_scoring_table_is_entity_table():

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from nadex import data, evaluation
-from nadex.errors import ParseError, ValidationError
+from nadex.errors import ValidationError
 from nadex.evaluation import (MetricReport, build_filter_index,
-                              evaluate, filtered_rank, report_from_tsv,
-                              training_triples)
+                              evaluate, filtered_rank, training_triples)
 
 from helpers import cyclic_splits, quick_train, tiny_model
 
@@ -125,23 +124,19 @@ def test_empty_ranks_rejected():
 def test_tsv_roundtrip_exact():
     rep = MetricReport.from_ranks([1, 2, 4, 7, 13],
                                   unseen=MetricReport.from_ranks([2, 7]))
-    back = report_from_tsv(rep.to_tsv())
-    assert back.mrr == rep.mrr
-    assert back.hits1 == rep.hits1
-    assert back.hits3 == rep.hits3
-    assert back.hits10 == rep.hits10
-    assert back.query_count == 5
-    assert back.unseen.mrr == rep.unseen.mrr
-    assert back.unseen.query_count == 2
-    assert back.ranks is None
-
-
-def test_tsv_parse_errors():
-    with pytest.raises(ParseError) as exc:
-        report_from_tsv("mrr\t0.5\t3\nhits1\t0.2\n")
-    assert "line 2" in str(exc.value)
-    with pytest.raises(ParseError):
-        report_from_tsv("mrr\t0.5\t3\n")  # hits rows missing
+    # repr keeps every bit, so each value reads back as the same float
+    assert rep.to_tsv() == (
+        "mrr\t0.39395604395604394\t5\n"
+        "hits1\t0.2\t5\n"
+        "hits3\t0.4\t5\n"
+        "hits10\t0.8\t5\n"
+        "unseen_mrr\t0.3214285714285714\t2\n"
+        "unseen_hits1\t0.0\t2\n"
+        "unseen_hits3\t0.5\t2\n"
+        "unseen_hits10\t1.0\t2\n"
+    )
+    assert rep.mrr == 0.39395604395604394
+    assert rep.unseen.mrr == 0.3214285714285714
 
 
 def test_format_table_mentions_query_count():
@@ -199,19 +194,20 @@ def test_evaluate_worker_count_does_not_change_ranks(trained_setup):
 
 def test_evaluate_unseen_subset(trained_setup):
     params, sched, per_split, aug, idx = trained_setup
-    trips = training_triples(aug["train"])
+    # on the cyclic stream every test triple also occurs in training
+    rep = evaluate(per_split["test"], params, sched, idx, tau=0.5, seed=0,
+                   train_triples=training_triples(aug["train"]))
+    assert rep.unseen is None
+    # without the odd subjects' training facts, some test queries are unseen
+    trips = training_triples([q for q in aug["train"] if q.s % 2 == 0])
     rep = evaluate(per_split["test"], params, sched, idx, tau=0.5, seed=0,
                    train_triples=trips)
-    flags = [(s.s, s.r, s.o) not in trips for s in per_split["test"]]
-    expected_n = sum(flags)
-    if expected_n:
-        assert rep.unseen is not None
-        assert rep.unseen.query_count == expected_n
-        picked = rep.ranks[np.array(flags)]
-        assert rep.unseen.mrr == pytest.approx(np.mean(1.0 / picked),
-                                               rel=1e-12)
-    else:
-        assert rep.unseen is None
+    flags = np.array([(s.s, s.r, s.o) not in trips for s in per_split["test"]])
+    assert 0 < flags.sum() < flags.size
+    assert rep.unseen.query_count == flags.sum()
+    assert np.array_equal(rep.unseen.ranks, rep.ranks[flags])
+    assert rep.unseen.mrr == pytest.approx(np.mean(1.0 / rep.ranks[flags]),
+                                           rel=1e-12)
 
 
 def test_evaluate_argument_validation(trained_setup):
@@ -223,6 +219,9 @@ def test_evaluate_argument_validation(trained_setup):
                  k_repeats=0)
     with pytest.raises(ValidationError):
         evaluate(per_split["valid"], params, sched, idx, tau=0.0, seed=0)
+    with pytest.raises(ValidationError):
+        evaluate(per_split["valid"], params, sched, idx, tau=0.5, seed=0,
+                 chunk_size=0)
 
 
 def test_filtering_never_hurts_end_to_end(trained_setup):
