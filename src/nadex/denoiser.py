@@ -62,6 +62,13 @@ class DenoiserParams:
     def __getitem__(self, name):
         return self.tensors[name]
 
+    def cast(self, dtype):
+        """The same parameters as ``dtype`` copies, cast on the active tape,
+        so gradients reach these tensors in their own dtype."""
+        out = DenoiserParams(self.config)
+        out.tensors = {k: T.cast(t, dtype) for k, t in self.tensors.items()}
+        return out
+
     def parameter_count(self):
         return int(np.sum([t.size for t in self.tensors.values()]))
 
@@ -166,9 +173,8 @@ def denoise(params, input_seq, m, padding_mask, train_mode=False, rng=None):
     x = T.add(input_seq, T.reshape(pos, (1, s, h)))
     x = T.add(x, T.reshape(step, (1, 1, h)))
 
-    key_bias = T.constant(
-        np.where(padding_mask, 0.0, T.MASK_NEG)[:, None, None, :]
-    )
+    key_bias = np.where(padding_mask, 0.0, T.MASK_NEG).astype(input_seq.data.dtype)
+    key_bias = T.constant(key_bias[:, None, None, :])
     for i in range(cfg.layers):
         pre = f"layer{i}"
         xn = T.layer_norm(x, params[f"{pre}.ln1.gain"], params[f"{pre}.ln1.bias"])

@@ -1,6 +1,9 @@
-"""Dense float64 tensors with taped reverse-mode differentiation.
+"""Dense float32/float64 tensors with taped reverse-mode differentiation.
 
-Every tensor wraps a C-contiguous float64 ndarray. Operations execute
+Every tensor wraps a C-contiguous ndarray: float32 input stays float32,
+anything else becomes float64. Each op computes in its inputs' dtype, and
+``cast`` moves a value between the two on the tape, so a float32 forward
+and backward pass can run over float64 parameters. Operations execute
 eagerly through numpy and, when a tape is active and an input requires
 gradients, append a backward closure to that tape. Execution order is a
 topological order of the graph, so ``backward`` simply replays the tape in
@@ -76,12 +79,14 @@ def no_grad():
 
 
 class Tensor:
-    """Row-major float64 array plus gradient slot."""
+    """Row-major float32 or float64 array plus gradient slot (the grad has
+    the data's dtype)."""
 
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad=False):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        dtype = np.float32 if getattr(data, "dtype", None) == np.float32 else np.float64
+        self.data = np.ascontiguousarray(data, dtype=dtype)
         self.requires_grad = bool(requires_grad)
         self.grad = None
 
@@ -216,6 +221,17 @@ def add_scalar(a, c):
         a.accumulate_grad(g)
 
     return record_op(out, (a,), bwd)
+
+
+def cast(x, dtype):
+    """Copy of ``x`` as float32 or float64; the gradient flows back in
+    ``x``'s dtype."""
+    out = Tensor(x.data.astype(dtype))
+
+    def bwd(g):
+        x.accumulate_grad(g)  # accumulates into a buffer of x's dtype
+
+    return record_op(out, (x,), bwd)
 
 
 def matmul(a, b):
@@ -395,7 +411,7 @@ def dropout(x, rate, rng, train_mode):
     if rate >= 1.0:
         raise ConfigurationError(f"dropout rate must be < 1, got {rate}")
     keep = rng.random(x.shape) >= rate
-    factor = keep / (1.0 - rate)
+    factor = keep.astype(x.data.dtype) / (1.0 - rate)
     out = Tensor(x.data * factor)
 
     def bwd(g):

@@ -39,7 +39,7 @@ def negative_prototypes(target_embeddings):
     # Row i sums every row with row i zeroed, in row order: the same
     # additions as an explicit zero-diagonal construction, so the result is
     # bitwise equal to it and row i never reaches prototype i.
-    keep = np.ones((n, 1))
+    keep = np.ones((n, 1), dtype=e.data.dtype)
     sums = np.empty_like(e.data)
     for i in range(n):
         keep[i] = 0.0

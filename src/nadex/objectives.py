@@ -110,20 +110,27 @@ def compute_batch_loss(params, batch, schedule, loss_cfg, m, eps_pos, eps_neg,
 
 
 def train_step(batch, params, schedule, optimizer, loss_cfg, rng):
-    """One optimization step on one timestamp batch."""
+    """One optimization step on one timestamp batch.
+
+    The forward and backward pass run in float32 on cast copies of
+    ``params``; the gradients reach the float64 parameters through the
+    casts, so the Adam update and its moments stay float64. The noise is
+    drawn in float64 and then cast, so the rng stream does not depend on
+    the compute dtype.
+    """
     if batch.size < 1:
         raise ValidationError("empty batch")
     n = batch.size
     h = params.config.hidden
     m = sample_step(rng, schedule.m_steps)
-    eps_pos = rng.standard_normal((n, h))
-    eps_neg = rng.standard_normal((n, h))
+    eps_pos = rng.standard_normal((n, h)).astype(np.float32)
+    eps_neg = rng.standard_normal((n, h)).astype(np.float32)
 
     tape = T.Tape()
     with tape.active():
         total, l_r, l_neg, neg_applied = compute_batch_loss(
-            params, batch, schedule, loss_cfg, m, eps_pos, eps_neg,
-            train_mode=True, rng=rng,
+            params.cast(np.float32), batch, schedule, loss_cfg, m, eps_pos,
+            eps_neg, train_mode=True, rng=rng,
         )
         breakdown = LossBreakdown(
             l_r=l_r.item(), l_neg=l_neg.item(), l_total=total.item(),

@@ -159,3 +159,27 @@ def test_zero_grad_clears_all_parameters():
     u.grad = np.array([1.0])
     opt.zero_grad()
     assert w.grad is None and u.grad is None
+
+
+def test_eps_damps_tiny_gradients_from_a_float32_step():
+    # a float32 subnormal gradient reaches the float64 parameter through a
+    # cast; eps keeps Adam from normalizing it up to a full lr step, and a
+    # zero gradient from the same pass leaves its entry unmoved
+    tiny = np.finfo(np.float32).smallest_subnormal
+
+    def first_step(eps):
+        w = _param([0.5, 0.5, 0.5])
+        opt = Adam({"w": w}, lr=1e-3, eps=eps)
+        coef = np.array([0.0, tiny, 1.0], dtype=np.float32)
+        with K.Tape().active():
+            K.backward(K.sum(K.mul(K.cast(w, np.float32), K.Tensor(coef))))
+        assert w.grad.dtype == np.float64 and w.grad[1] == tiny
+        with np.errstate(invalid="ignore"):
+            opt.step()
+        return w.data - 0.5
+
+    delta = first_step(1e-8)
+    assert delta[0] == 0.0
+    assert abs(delta[1]) < 1e-12
+    assert delta[2] == pytest.approx(-1e-3, rel=1e-6)
+    assert first_step(0.0)[1] == pytest.approx(-1e-3, rel=1e-6)

@@ -118,6 +118,33 @@ def test_padding_invariance_exact():
     assert np.array_equal(out, base)
 
 
+def test_padding_invariance_exact_in_float32():
+    cfg, vocab, params, _ = tiny_model(window=4)
+    params32 = params.cast(np.float32)
+    rng = np.random.default_rng(1)
+    batch = random_batch(rng, 5, cfg.window, vocab.num_entities,
+                         vocab.num_relations, cfg.dt_max)
+    pad = ~batch.mask
+    assert pad.any()
+
+    def forward(hist_objects):
+        tampered = data.TimestampBatch(
+            t=batch.t, subjects=batch.subjects, relations=batch.relations,
+            golds=batch.golds, hist_objects=hist_objects,
+            hist_relations=batch.hist_relations, hist_dt=batch.hist_dt,
+            mask=batch.mask)
+        hist, rel, dt, key_mask, _ = denoiser.embed_batch(params32, tampered)
+        noised = diffusion.make_inference_input(
+            hist, np.zeros((batch.size, cfg.hidden), dtype=np.float32), rel, dt)
+        return denoiser.denoise(params32, noised, 1, key_mask).data
+
+    base = forward(batch.hist_objects)
+    junk = batch.hist_objects.copy()
+    junk[pad] = (junk[pad] + 1) % vocab.num_entities
+    assert base.dtype == np.float32
+    assert np.array_equal(forward(junk), base)
+
+
 def test_padded_positions_get_exactly_zero_gradient():
     cfg, vocab, params, sched = tiny_model(window=4)
     rng = np.random.default_rng(2)

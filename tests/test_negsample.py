@@ -137,3 +137,18 @@ def test_duplicate_gold_flag_off_includes_everything():
     assert np.allclose(out.prototypes.data, zero_diagonal_oracle(e.data),
                        rtol=0.0, atol=1e-13)
 
+
+
+def test_float32_prototypes_sum_in_float32():
+    # float32 targets are averaged in float32: bitwise equal to the explicit
+    # zero-diagonal construction in float32, not to a float64 sum rounded
+    rng = np.random.default_rng(6)
+    for n in (3, 8, 33):
+        e = (rng.normal(size=(n, 12)) * 10.0 ** rng.integers(-2, 3, size=(n, 1))
+             ).astype(np.float32)
+        out = negative_prototypes(K.Tensor(e)).prototypes.data
+        keep = ~np.eye(n, dtype=bool)
+        explicit = np.where(keep[:, :, None], e[None, :, :], np.float32(0.0)
+                            ).sum(axis=1) / (n - 1)
+        assert out.dtype == explicit.dtype == np.float32
+        assert np.array_equal(out, explicit)

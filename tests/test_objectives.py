@@ -363,3 +363,81 @@ def test_ten_epoch_trend_mostly_non_increasing():
               for _ in range(10)]
     drops = sum(1 for a, b in zip(totals, totals[1:]) if b <= a + 1e-12)
     assert drops >= 8, totals
+
+
+# ---------------------------------------------------------------------------
+# float32 step over float64 parameters
+
+
+def test_recon_loss_finite_when_float32_gold_probability_underflows():
+    # exp(-120) is ~8e-53 in float64 but 0 in float32: EPS_NUM keeps the
+    # log finite
+    logits = K.Tensor(np.array([[0.0, -60.0]], dtype=np.float32), requires_grad=True)
+    with K.Tape().active():
+        probs = K.softmax(logits, temperature=0.5)
+        assert probs.data[0, 1] == 0.0
+        loss = reconstruction_loss(probs, np.array([1]))
+        K.backward(loss)
+    assert loss.data.dtype == np.float32
+    assert loss.item() == pytest.approx(-np.log(np.float32(1e-8)), rel=1e-6)
+    assert logits.grad.dtype == np.float32
+    assert np.all(np.isfinite(logits.grad))
+
+
+def test_train_step_runs_in_float32_over_float64_parameters(monkeypatch):
+    cfg, vocab, params, sched = tiny_model(dropout=0.2, num_entities=7)
+    rng = np.random.default_rng(0)
+    batch = random_batch(rng, 6, cfg.window, vocab.num_entities,
+                         vocab.num_relations, cfg.dt_max)
+    opt = optim.Adam(params.tensors, lr=1e-3)
+    created, grad_dtypes = [], {}
+    tensor_init, adam_step = K.Tensor.__init__, optim.Adam.step
+
+    def recording_init(self, data, requires_grad=False):
+        tensor_init(self, data, requires_grad)
+        if self.data.ndim:
+            created.append(self.data.dtype)
+
+    def recording_step(self):
+        grad_dtypes.update((k, p.grad.dtype) for k, p in self.params.items()
+                           if p.grad is not None)
+        adam_step(self)
+
+    monkeypatch.setattr(K.Tensor, "__init__", recording_init)
+    monkeypatch.setattr(optim.Adam, "step", recording_step)
+    out = train_step(batch, params, sched, opt, LossConfig(lam=0.5), rng)
+    monkeypatch.undo()
+
+    assert out.neg_applied
+    assert created and set(created) == {np.dtype(np.float32)}
+    assert set(grad_dtypes) == set(params.tensors)
+    assert set(grad_dtypes.values()) == {np.dtype(np.float64)}
+    for name, p in params.tensors.items():
+        assert p.data.dtype == np.float64
+        assert opt.m[name].dtype == opt.v[name].dtype == np.float64
+
+
+def test_float32_step_losses_match_float64_batch_loss():
+    cfg, vocab, params, sched = tiny_model(hidden=32, heads=4, dropout=0.2,
+                                           num_entities=9, window=4)
+    batch = random_batch(np.random.default_rng(4), 8, cfg.window,
+                         vocab.num_entities, vocab.num_relations, cfg.dt_max)
+    loss_cfg = LossConfig(lam=0.5)
+    # replay train_step's draws in order: step, both noises, then dropout
+    rng = np.random.default_rng(5)
+    m = diffusion.sample_step(rng, sched.m_steps)
+    eps_pos = rng.standard_normal((batch.size, cfg.hidden))
+    eps_neg = rng.standard_normal((batch.size, cfg.hidden))
+    tape = K.Tape()
+    with tape.active():
+        total, l_r, l_neg, neg_applied = compute_batch_loss(
+            params, batch, sched, loss_cfg, m, eps_pos, eps_neg,
+            train_mode=True, rng=rng)
+    tape.clear()
+    assert neg_applied and total.data.dtype == np.float64
+
+    out = train_step(batch, params, sched, optim.Adam(params.tensors),
+                     loss_cfg, np.random.default_rng(5))
+    assert out.l_r == pytest.approx(l_r.item(), rel=1e-5)
+    assert out.l_neg == pytest.approx(l_neg.item(), rel=1e-5)
+    assert out.l_total == pytest.approx(total.item(), rel=1e-5)

@@ -409,3 +409,103 @@ def test_forward_determinism_fixed_seed():
         return K.sum(K.sigmoid(y)).data.copy()
 
     assert np.array_equal(run(), run())
+
+
+# ---------------------------------------------------------------------------
+# dtype policy and cast
+
+
+def test_tensor_keeps_float32_and_widens_everything_else():
+    assert K.Tensor(np.ones(3, dtype=np.float32)).data.dtype == np.float32
+    for other in (np.ones(3, dtype=np.float16), np.arange(3), [1.0, 2.0], 2.5):
+        assert K.Tensor(other).data.dtype == np.float64
+
+
+def test_cast_forward_dtype_and_values():
+    x = t([[1.5, -2.25], [1.0 / 3.0, 4.0]])
+    y = K.cast(x, np.float32)
+    assert y.data.dtype == np.float32
+    assert np.array_equal(y.data, x.data.astype(np.float32))
+    back = K.cast(y, np.float64)
+    assert back.data.dtype == np.float64
+    assert np.array_equal(back.data, y.data.astype(np.float64))
+
+
+def test_cast_gradient_comes_back_in_source_dtype():
+    x = t([1.0, 2.0, 3.0], grad=True)
+    with K.Tape().active():
+        y = K.cast(x, np.float32)
+        K.backward(K.sum(K.mul(y, y)))
+    assert x.grad.dtype == np.float64
+    assert np.array_equal(x.grad, [2.0, 4.0, 6.0])
+
+    x32 = K.Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+    with K.Tape().active():
+        K.backward(K.sum(K.mul(K.cast(x32, np.float64), t([0.5, 0.25]))))
+    assert x32.grad.dtype == np.float32
+    assert np.array_equal(x32.grad, [0.5, 0.25])
+
+
+def test_cast_chain_gradient_matches_float64_within_float32_tolerance():
+    # float64 leaves -> float32 body -> float64 tail, against the same graph
+    # with every cast a float64 copy
+    rng = np.random.default_rng(4)
+    x = t(rng.normal(size=(6, 5)), grad=True)
+    w = t(rng.normal(size=(5, 7)), grad=True)
+    gain, bias = t(np.ones(7), grad=True), t(np.zeros(7), grad=True)
+
+    def grads(body_dtype):
+        with K.Tape().active():
+            xs, ws = K.cast(x, body_dtype), K.cast(w, body_dtype)
+            g, b = K.cast(gain, body_dtype), K.cast(bias, body_dtype)
+            h = K.layer_norm(K.relu(K.matmul(xs, ws)), g, b)
+            probs = K.cast(K.softmax(h, temperature=0.5), np.float64)
+            K.backward(K.scale(K.mean(K.log(K.add_scalar(probs, 1e-8))), -1.0))
+        out = [p.grad.copy() for p in (x, w, gain, bias)]
+        for p in (x, w, gain, bias):
+            p.grad = None
+        return out
+
+    for g32, g64 in zip(grads(np.float32), grads(np.float64)):
+        assert g32.dtype == np.float64
+        np.testing.assert_allclose(g32, g64, rtol=1e-4,
+                                   atol=1e-5 * np.abs(g64).max())
+
+
+def test_masked_keys_get_exactly_zero_attention_in_float32():
+    rng = np.random.default_rng(6)
+    logits = rng.normal(scale=30.0, size=(3, 5)).astype(np.float32)
+    mask = np.array([[1, 1, 0, 1, 0], [0, 0, 0, 0, 1], [1, 1, 1, 1, 1]], bool)
+    bias = np.where(mask, 0.0, K.MASK_NEG).astype(np.float32)
+    att = K.softmax(K.add(K.Tensor(logits), K.Tensor(bias))).data
+    assert att.dtype == np.float32
+    assert np.all(att[~mask] == 0.0)
+    assert np.all(att[mask] > 0.0)
+    np.testing.assert_allclose(att.sum(axis=-1), 1.0, rtol=1e-6)
+
+
+def test_layer_norm_variance_floor_keeps_constant_float32_row_finite(monkeypatch):
+    # row 0 is a constant (padded) row whose float32 mean is exact, so its
+    # variance is exactly 0; rows 1-2 are generic
+    rng = np.random.default_rng(8)
+    x32 = np.vstack([np.full(8, 3.7), rng.normal(size=(2, 8))]).astype(np.float32)
+
+    def run():
+        x = K.Tensor(x32.copy(), requires_grad=True)
+        gain = K.Tensor(np.ones(8, dtype=np.float32), requires_grad=True)
+        bias = K.Tensor(np.zeros(8, dtype=np.float32), requires_grad=True)
+        with K.Tape().active():
+            out = K.layer_norm(x, gain, bias)
+            weights = K.Tensor(rng.normal(size=(3, 8)).astype(np.float32))
+            K.backward(K.sum(K.mul(out, weights)))
+        return out.data, x.grad, gain.grad
+
+    out, gx, ggain = run()
+    assert out.dtype == gx.dtype == ggain.dtype == np.float32
+    assert np.array_equal(out[0], np.zeros(8))
+    assert np.all(np.isfinite(gx)) and np.all(np.isfinite(ggain))
+
+    monkeypatch.setattr(K, "LAYER_NORM_VAR_FLOOR", 0.0)  # the floor is load-bearing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out, gx, _ = run()
+    assert not np.all(np.isfinite(out[0])) and not np.all(np.isfinite(gx[0]))
