@@ -26,23 +26,36 @@ class Adam:
         """Apply one update from the gradients currently on the parameters.
 
         Parameters whose grad is None are treated as zero-gradient: their
-        values stay put while the moment estimates decay.
+        values stay put while the moment estimates decay. A non-finite
+        gradient raises ``NumericsError`` before any state changes.
         """
+        for name, p in self.params.items():
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise NumericsError(f"non-finite gradient for parameter '{name}'")
         self.step_count += 1
         c1 = 1.0 - self.beta1 ** self.step_count
         c2 = 1.0 - self.beta2 ** self.step_count
         for name, p in self.params.items():
             g = p.grad
-            if g is not None and not np.all(np.isfinite(g)):
-                raise NumericsError(f"non-finite gradient for parameter '{name}'")
             if g is None:
                 g = np.zeros_like(p.data)
             m, v = self.m[name], self.v[name]
+            # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2;
+            # p -= lr (m / c1) / (sqrt(v / c2) + eps), each in textbook order
+            scratch = np.multiply(g, 1.0 - self.beta1)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += scratch
+            np.multiply(g, g, out=scratch)
+            scratch *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            v += scratch
+            np.divide(v, c2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += self.eps
+            step = m / c1
+            step *= self.lr
+            step /= scratch
+            p.data -= step
 
     def zero_grad(self):
         for p in self.params.values():

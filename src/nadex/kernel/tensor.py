@@ -11,6 +11,16 @@ reverse, visiting each node exactly once. A node's gradient is released as
 soon as its closure has consumed it, so after ``backward`` only leaves
 (parameters and constants, which are never tape outputs) hold ``.grad``.
 
+Gradient buffers: a tensor's first gradient ``g`` is written as
+``g + 0.0`` into a fresh C-contiguous array of the tensor's shape and
+dtype, and later ones are added into it in place. That is the sum a
+zero-filled buffer would hold (a -0.0 becomes +0.0) in one pass. A backward
+closure may therefore hand ``accumulate_grad`` a view of its own ``g`` (a
+transpose, reshape, broadcast or slice) or an array it keeps using;
+``.grad`` never aliases it. The buffer is C-ordered on purpose: a gradient
+laid out like a transposed view would later reach BLAS with other strides
+and could round differently.
+
 The tape lives in thread-local state: training owns one tape on one thread,
 while gradient-free scoring can run on worker threads under ``no_grad`` (or
 with private scratch tapes) without touching it.
@@ -107,8 +117,9 @@ class Tensor:
 
     def accumulate_grad(self, g):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0.0, out=np.empty(self.shape, self.data.dtype))
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -306,8 +317,12 @@ def log(x):
 
 
 def relu(x):
+    """max(x, 0) with a +0.0 for every non-positive input; NaN propagates
+    (its gradient is 0)."""
     mask = x.data > 0.0
-    out = Tensor(np.where(mask, x.data, 0.0))
+    y = np.maximum(x.data, 0.0)
+    y += 0.0  # -0.0 + 0.0 is +0.0; numpy leaves max(-0.0, 0.0)'s sign open
+    out = Tensor(y)
 
     def bwd(g):
         x.accumulate_grad(g * mask)
@@ -383,7 +398,11 @@ def layer_norm(x, gain, bias, axis=-1):
     floored = np.maximum(var, LAYER_NORM_VAR_FLOOR)
     inv = 1.0 / np.sqrt(floored)
     xhat = centered * inv
-    out = Tensor(xhat * gain.data + bias.data)
+    y = xhat * gain.data
+    # widen first where bias outranks xhat and gain, as ``y + bias`` would
+    y = y.astype(np.result_type(y, bias.data), copy=False)
+    y += bias.data
+    out = Tensor(y)
     n = x.shape[axis]
 
     def bwd(g):
@@ -398,7 +417,14 @@ def layer_norm(x, gain, bias, axis=-1):
             dvar = np.where(live, dvar, 0.0)
             dmu = -dxhat.sum(axis=axis, keepdims=True) * inv
             dmu = dmu + dvar * (-2.0) * centered.mean(axis=axis, keepdims=True)
-            gx = dxhat * inv + dvar * 2.0 * centered / n + dmu / n
+            # dxhat * inv + dvar * 2.0 * centered / n + dmu / n, in place;
+            # dxhat has g's dtype, the widest of the operands
+            gx = dxhat
+            gx *= inv
+            spread = dvar * 2.0 * centered
+            spread /= n
+            gx += spread
+            gx += dmu / n
             x.accumulate_grad(gx)
 
     return record_op(out, (x, gain, bias), bwd)
@@ -411,7 +437,8 @@ def dropout(x, rate, rng, train_mode):
     if rate >= 1.0:
         raise ConfigurationError(f"dropout rate must be < 1, got {rate}")
     keep = rng.random(x.shape) >= rate
-    factor = keep.astype(x.data.dtype) / (1.0 - rate)
+    factor = keep.astype(x.data.dtype)
+    factor /= 1.0 - rate
     out = Tensor(x.data * factor)
 
     def bwd(g):

@@ -183,3 +183,21 @@ def test_eps_damps_tiny_gradients_from_a_float32_step():
     assert abs(delta[1]) < 1e-12
     assert delta[2] == pytest.approx(-1e-3, rel=1e-6)
     assert first_step(0.0)[1] == pytest.approx(-1e-3, rel=1e-6)
+
+
+def test_non_finite_gradient_leaves_all_state_unchanged():
+    a, b = _param([1.0]), _param([2.0])
+    opt = Adam({"a": a, "b": b}, lr=1e-3)
+    a.grad, b.grad = np.array([0.5]), np.array([0.25])
+    opt.step()  # warm moments, so a partial update would show
+    before = ([a.data.copy(), b.data.copy()],
+              {k: v.copy() for k, v in opt.state_arrays().items()})
+    a.grad, b.grad = np.array([1.0]), np.array([np.nan])
+    with pytest.raises(NumericsError) as exc:
+        opt.step()
+    assert "'b'" in str(exc.value)
+    assert opt.step_count == 1
+    assert np.array_equal(a.data, before[0][0])
+    assert np.array_equal(b.data, before[0][1])
+    for name, arr in opt.state_arrays().items():
+        assert np.array_equal(arr, before[1][name]), name

@@ -509,3 +509,131 @@ def test_layer_norm_variance_floor_keeps_constant_float32_row_finite(monkeypatch
     with np.errstate(divide="ignore", invalid="ignore"):
         out, gx, _ = run()
     assert not np.all(np.isfinite(out[0])) and not np.all(np.isfinite(gx[0]))
+
+
+# ---------------------------------------------------------------------------
+# in-place kernels: gradient buffers, signed zeros, dtype policy, and bytes
+# equal to the textbook expressions
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_special_values(dtype):
+    x = K.Tensor(np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, -1.5, 2.5],
+                          dtype=dtype), requires_grad=True)
+    with K.Tape().active():
+        y = K.relu(x)
+        K.backward(K.sum(K.mul(y, K.Tensor(np.ones(7, dtype=dtype)))))
+    assert y.data.dtype == dtype
+    assert np.array_equal(y.data[:4], [0.0, 0.0, np.inf, 0.0])
+    assert not np.any(np.signbit(y.data[[0, 1, 3, 5]]))  # every zero is +0.0
+    assert np.isnan(y.data[4])  # NaN propagates
+    assert y.data[5] == 0.0 and y.data[6] == dtype(2.5)
+    # the subgradient is 1 where x > 0 only: 0 at both zeros and at NaN
+    assert np.array_equal(x.grad, [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_matches_where_bytewise_on_finite_inputs(dtype):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(37, 129)).astype(dtype)  # odd extents: SIMD tails
+    x[rng.random(x.shape) < 0.1] = -0.0
+    x[rng.random(x.shape) < 0.05] = 0.0
+    assert np.any(np.signbit(x) & (x == 0.0))
+    got = K.relu(K.Tensor(x)).data
+    assert _same_bytes(got, np.where(x > 0, x, 0.0).astype(dtype))
+
+
+def test_first_gradient_is_a_private_c_contiguous_zero_filled_sum():
+    base = np.arange(12.0).reshape(3, 4)
+    x = t(np.zeros((4, 3)), grad=True)
+    view = base.T  # F-ordered view of another array
+    x.accumulate_grad(view)
+    assert x.grad.flags.c_contiguous and x.grad.dtype == np.float64
+    assert not np.shares_memory(x.grad, base)
+    assert np.array_equal(x.grad, view)
+    base[...] = -1.0
+    assert np.array_equal(x.grad, np.arange(12.0).reshape(3, 4).T)
+    x.accumulate_grad(np.ones((4, 3)))  # later gradients add in place
+    assert np.array_equal(x.grad, np.arange(12.0).reshape(3, 4).T + 1.0)
+
+    g32 = np.array([[0.1, -0.2], [1e-30, 3.0]], dtype=np.float32)
+    w = t(np.zeros((2, 2)), grad=True)
+    w.accumulate_grad(g32)
+    assert w.grad.dtype == np.float64 and w.grad.flags.c_contiguous
+    assert np.array_equal(w.grad, g32.astype(np.float64))
+    g32[...] = 7.0
+    assert np.array_equal(w.grad[1], [np.float32(1e-30), 3.0])
+
+    # the buffer holds 0.0 + g: a -0.0 arrives as +0.0, as it would in a
+    # zero-filled buffer; a broadcastable g fills the tensor's shape
+    z = K.Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
+    z.accumulate_grad(np.array([-0.0, 1.0, -0.0], dtype=np.float32))
+    assert z.grad.shape == (2, 3) and z.grad.dtype == np.float32
+    assert not np.any(np.signbit(z.grad[:, [0, 2]]))
+
+
+def _layer_norm_reference(x, gain, bias, g):
+    """The textbook layer norm forward and backward, as fresh expressions."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered**2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.maximum(var, K.LAYER_NORM_VAR_FLOOR))
+    xhat = centered * inv
+    n = x.shape[-1]
+    dxhat = g * gain
+    dvar = (dxhat * centered).sum(axis=-1, keepdims=True) * (-0.5) * inv**3
+    dvar = np.where(var > K.LAYER_NORM_VAR_FLOOR, dvar, 0.0)
+    dmu = -dxhat.sum(axis=-1, keepdims=True) * inv
+    dmu = dmu + dvar * (-2.0) * centered.mean(axis=-1, keepdims=True)
+    gx = dxhat * inv + dvar * 2.0 * centered / n + dmu / n
+    return xhat * gain + bias, gx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+
+@pytest.mark.parametrize("dtypes", [
+    (np.float32, np.float32, np.float32),
+    (np.float64, np.float64, np.float64),
+    (np.float32, np.float64, np.float64),  # float32 x, float64 gain/bias
+    (np.float32, np.float32, np.float64),  # only bias is wide
+])
+def test_layer_norm_matches_textbook_bytewise_and_keeps_dtype(dtypes):
+    xd, gd, bd = dtypes
+    rng = np.random.default_rng(17)
+    x_np = np.vstack([np.full(24, 3.7), rng.normal(size=(5, 24))]).astype(xd)
+    gain_np = rng.normal(size=24).astype(gd)
+    bias_np = rng.normal(size=24).astype(bd)
+    out_dtype = np.result_type(xd, gd, bd)
+    w_np = rng.normal(size=(6, 24)).astype(out_dtype)
+    x = K.Tensor(x_np, requires_grad=True)
+    gain = K.Tensor(gain_np, requires_grad=True)
+    bias = K.Tensor(bias_np, requires_grad=True)
+    with K.Tape().active():
+        y = K.layer_norm(x, gain, bias)
+        K.backward(K.sum(K.mul(y, K.Tensor(w_np))))
+    ref_y, ref_gx, ref_gg, ref_gb = _layer_norm_reference(x_np, gain_np,
+                                                          bias_np, w_np)
+    assert y.data.dtype == out_dtype
+    assert _same_bytes(y.data, ref_y)
+    # leaf gradients are accumulated onto 0.0 in the leaf's dtype
+    assert _same_bytes(x.grad, (0.0 + ref_gx).astype(xd))
+    assert _same_bytes(gain.grad, (0.0 + ref_gg).astype(gd))
+    assert _same_bytes(bias.grad, (0.0 + ref_gb).astype(bd))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_matches_textbook_bytewise_and_keeps_dtype(dtype):
+    rate = 0.3
+    x_np = np.random.default_rng(5).normal(size=(9, 31)).astype(dtype)
+    w_np = np.random.default_rng(6).normal(size=(9, 31)).astype(dtype)
+    x = K.Tensor(x_np, requires_grad=True)
+    with K.Tape().active():
+        y = K.dropout(x, rate, np.random.default_rng(23), train_mode=True)
+        K.backward(K.sum(K.mul(y, K.Tensor(w_np))))
+    keep = np.random.default_rng(23).random(x_np.shape) >= rate
+    factor = keep.astype(dtype) / (1.0 - rate)
+    assert y.data.dtype == dtype
+    assert _same_bytes(y.data, x_np * factor)
+    assert _same_bytes(x.grad, 0.0 + w_np * factor)  # dropped: +0.0
