@@ -42,7 +42,8 @@ class Adam:
             m, v = self.m[name], self.v[name]
             # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2;
             # p -= lr (m / c1) / (sqrt(v / c2) + eps), each in textbook order
-            scratch = np.multiply(g, 1.0 - self.beta1)
+            scratch = np.empty_like(p.data)  # p's dtype: v / c2 never narrows
+            np.multiply(g, 1.0 - self.beta1, out=scratch)
             m *= self.beta1
             m += scratch
             np.multiply(g, g, out=scratch)
