@@ -190,14 +190,14 @@ def test_non_finite_gradient_leaves_all_state_unchanged():
     opt = Adam({"a": a, "b": b}, lr=1e-3)
     a.grad, b.grad = np.array([0.5]), np.array([0.25])
     opt.step()  # warm moments, so a partial update would show
-    before = ([a.data.copy(), b.data.copy()],
-              {k: v.copy() for k, v in opt.state_arrays().items()})
+    params_before = [a.data.copy(), b.data.copy()]
+    state_before = {k: v.copy() for k, v in opt.state_arrays().items()}
     a.grad, b.grad = np.array([1.0]), np.array([np.nan])
     with pytest.raises(NumericsError) as exc:
         opt.step()
     assert "'b'" in str(exc.value)
     assert opt.step_count == 1
-    assert np.array_equal(a.data, before[0][0])
-    assert np.array_equal(b.data, before[0][1])
+    assert np.array_equal(a.data, params_before[0])
+    assert np.array_equal(b.data, params_before[1])
     for name, arr in opt.state_arrays().items():
-        assert np.array_equal(arr, before[1][name]), name
+        assert np.array_equal(arr, state_before[name]), name
