@@ -141,21 +141,29 @@ def load(path):
     }
 
 
+def _checked(loaded, name, shape):
+    """The loaded array ``name``, which must exist with ``shape``."""
+    arr = loaded["arrays"].get(name)
+    if arr is None:
+        raise CheckpointFormatError(f"checkpoint is missing tensor '{name}'")
+    if arr.shape != shape:
+        raise CheckpointFormatError(
+            f"tensor '{name}' shape {arr.shape} != expected {shape}")
+    return arr
+
+
 def restore_params(loaded, params):
     """Copy model arrays from a loaded checkpoint into fresh parameters."""
     for name, t in params.tensors.items():
-        if name not in loaded["arrays"]:
-            raise CheckpointFormatError(f"checkpoint is missing tensor '{name}'")
-        arr = loaded["arrays"][name]
-        if arr.shape != t.data.shape:
-            raise CheckpointFormatError(
-                f"tensor '{name}' shape {arr.shape} != expected {t.data.shape}"
-            )
-        t.data = np.array(arr, dtype=np.float64, order="C")
+        t.data = np.array(_checked(loaded, name, t.data.shape),
+                          dtype=np.float64, order="C")
 
 
 def restore_optimizer(loaded, optimizer):
-    optimizer.load_state_arrays(loaded["arrays"], loaded["adam_steps"])
+    """Restore Adam's step count and moments, each checked like a parameter."""
+    state = {name: _checked(loaded, name, arr.shape)
+             for name, arr in optimizer.state_arrays().items()}
+    optimizer.load_state_arrays(state, loaded["adam_steps"])
 
 
 def restore_rng(loaded):

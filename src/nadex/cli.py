@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import checkpoint as ckpt
-from .config import SEED_ENV_VAR, finalize, load_config, parse_config_text
+from .config import finalize, load_config, parse_config_text
 from .data import (
     Quadruple,
     augment_inverse,
@@ -86,19 +86,21 @@ def _split_histories(cfg, aug):
 
 
 def _eval_split(cfg, split_samples, params, schedule, filter_index,
-                train_triples, seed, k_repeats):
+                train_triples=None):
     return evaluate(
         split_samples, params, schedule, filter_index, tau=cfg.tau,
-        seed=seed, k_repeats=k_repeats, train_triples=train_triples,
+        seed=cfg.seed, k_repeats=cfg.eval_k, train_triples=train_triples,
         workers=cfg.workers,
     )
 
 
 def cmd_train(args):
     cfg = load_config(args.config, args.set)
-    if args.data_dir:
-        cfg.data_dir = args.data_dir
-        cfg.validate()
+    # a path train cannot write fails now, not after the first epoch
+    if (not cfg.checkpoint or os.path.isdir(cfg.checkpoint)
+            or not os.path.isdir(os.path.dirname(cfg.checkpoint) or ".")):
+        raise ConfigurationError(f"checkpoint is not a file path in an "
+                                 f"existing directory: {cfg.checkpoint!r}")
     vocab, aug = _read_splits(cfg)
     per_split = _split_histories(cfg, aug)
     schedule = cfg.schedule()
@@ -118,8 +120,7 @@ def cmd_train(args):
         summary = train_epoch(batches, params, schedule, optimizer, loss_cfg, rng)
         print(summary.tsv(epoch), flush=True)
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            report = _eval_split(cfg, per_split["valid"], params, schedule,
-                                 filter_index, None, cfg.seed, cfg.eval_k)
+            report = _eval_split(cfg, per_split["valid"], params, schedule, filter_index)
             print(f"valid\t{epoch}\t{report.mrr:.6f}\t{report.hits1:.6f}"
                   f"\t{report.hits3:.6f}\t{report.hits10:.6f}", flush=True)
             if report.mrr > best_mrr:
@@ -133,35 +134,20 @@ def cmd_train(args):
 
 def _load_checkpoint(args):
     loaded = ckpt.load(args.checkpoint)
-    cfg = parse_config_text(loaded["config_text"])
-    if getattr(args, "data_dir", None):
-        cfg.data_dir = args.data_dir
-    finalize(cfg, getattr(args, "set", ()) or ())
-    vocab = loaded["vocab"]
-    params = init_params(cfg.denoiser_config(), vocab, seed=0)
+    cfg = finalize(parse_config_text(loaded["config_text"]), args.set)
+    params = init_params(cfg.denoiser_config(), loaded["vocab"], seed=0)
     ckpt.restore_params(loaded, params)
-    return loaded, cfg, vocab, params
-
-
-def _check_flag(name, value, minimum):
-    """Reject a command-line value below its minimum; None means unset."""
-    if value is not None and value < minimum:
-        raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+    return cfg, loaded["vocab"], params
 
 
 def cmd_eval(args):
-    _check_flag("--k", args.k, 1)
-    _check_flag("--seed", args.seed, 0)
-    loaded, cfg, vocab, params = _load_checkpoint(args)
+    cfg, vocab, params = _load_checkpoint(args)
     _, aug = _read_splits(cfg, vocab)
     schedule = cfg.schedule()
     filter_index = build_filter_index(aug["train"], aug["valid"], aug["test"])
     train_triples = training_triples(aug["train"])
     samples = _split_histories(cfg, aug)[args.split]
-    seed = cfg.seed if args.seed is None else args.seed
-    k_repeats = cfg.eval_k if args.k is None else args.k
-    report = _eval_split(cfg, samples, params, schedule, filter_index,
-                         train_triples, seed, k_repeats)
+    report = _eval_split(cfg, samples, params, schedule, filter_index, train_triples)
     print(report.format_table())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -171,9 +157,9 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
-    _check_flag("--top-k", args.top_k, 1)
-    _check_flag("--seed", args.seed, 0)
-    loaded, cfg, vocab, params = _load_checkpoint(args)
+    if args.top_k < 1:
+        raise ValidationError(f"--top-k must be >= 1, got {args.top_k}")
+    cfg, vocab, params = _load_checkpoint(args)
     if not 0 <= args.subject < vocab.num_entities:
         raise UnknownIdError(
             f"subject {args.subject} outside entity vocabulary "
@@ -194,7 +180,7 @@ def cmd_predict(args):
                              cfg.dt_max)[-1]
     batch = sample_to_batch(sample)
     schedule = cfg.schedule()
-    rng = np.random.default_rng(cfg.seed if args.seed is None else args.seed)
+    rng = np.random.default_rng(cfg.seed)
     with T.no_grad():
         hist, rel, dt, key_mask, _ = embed_batch(params, batch)
         noise = rng.standard_normal((1, cfg.hidden))
@@ -231,45 +217,35 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="key=value config file")
+    def add_command(name, fn, help, config=False):
+        """A subcommand whose settings come from its config text, then --set."""
+        p = sub.add_parser(name, help=help)
+        if config:
+            p.add_argument("--config", default=None, help="key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
+        p.set_defaults(fn=fn)
+        return p
 
-    p_train = sub.add_parser("train", help="train a model and keep the best "
-                                           "validation checkpoint")
-    common(p_train)
-    p_train.add_argument("--data-dir", default=None,
-                         help="directory with train/valid/test.txt")
-    p_train.set_defaults(fn=cmd_train)
+    add_command("train", cmd_train,
+                "train a model and keep the best validation checkpoint",
+                config=True)
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on a split")
+    p_eval = add_command("eval", cmd_eval, "evaluate a checkpoint on a split")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument("--split", choices=("valid", "test"), default="test")
-    p_eval.add_argument("--k", type=int, default=None,
-                        help="noise draws averaged per query")
-    p_eval.add_argument("--seed", type=int, default=None)
     p_eval.add_argument("--out", default=None, help="write tab-separated report")
-    p_eval.add_argument("--data-dir", default=None)
-    p_eval.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p_eval.set_defaults(fn=cmd_eval)
 
-    p_pred = sub.add_parser("predict", help="rank objects for one query")
+    p_pred = add_command("predict", cmd_predict, "rank objects for one query")
     p_pred.add_argument("--checkpoint", required=True)
     p_pred.add_argument("--subject", type=int, required=True)
     p_pred.add_argument("--relation", type=int, required=True)
     p_pred.add_argument("--time", type=int, required=True,
                         help="query timestamp ordinal (post-granularity)")
     p_pred.add_argument("--top-k", type=int, default=10)
-    p_pred.add_argument("--seed", type=int, default=None)
-    p_pred.add_argument("--data-dir", default=None)
-    p_pred.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
-    p_pred.set_defaults(fn=cmd_predict)
 
-    p_sched = sub.add_parser("inspect-schedule",
-                             help="print the noise schedule as TSV")
-    common(p_sched)
-    p_sched.set_defaults(fn=cmd_inspect_schedule)
+    add_command("inspect-schedule", cmd_inspect_schedule,
+                "print the noise schedule as TSV", config=True)
     return parser
 
 

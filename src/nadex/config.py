@@ -1,10 +1,10 @@
 """Flat key=value run configuration with command-line overrides.
 
 Config files are diffable text: one `key = value` per line, '#' comments.
-Overrides (--set key=value) win over the file; the NADEX_SEED environment
-variable wins over both for the seed. Unknown keys are rejected rather
-than ignored so typos cannot silently fall back to defaults. The full
-validated config round-trips through the checkpoint as text.
+Overrides (--set key=value) win over the file and are the only other
+source of a setting. Unknown keys are rejected rather than ignored so
+typos cannot silently fall back to defaults. The full validated config
+round-trips through the checkpoint as text.
 """
 
 import dataclasses
@@ -15,8 +15,6 @@ from .denoiser import DenoiserConfig
 from .diffusion import build_schedule
 from .errors import ConfigurationError
 from .objectives import LossConfig
-
-SEED_ENV_VAR = "NADEX_SEED"
 
 # file/CLI key -> dataclass field (only where names differ)
 _KEY_ALIASES = {"lambda": "lam"}
@@ -134,28 +132,20 @@ def parse_config_text(text, cfg=None, source="config"):
     return cfg
 
 
-def finalize(cfg, overrides=(), env=None):
-    """Apply --set overrides and the seed env var, then validate."""
-    env = os.environ if env is None else env
+def finalize(cfg, overrides=()):
+    """Apply --set overrides, then validate."""
     for item in overrides:
         if "=" not in item:
             raise ConfigurationError(f"--set expects key=value, got {item!r}")
         key, raw = item.split("=", 1)
         _assign(cfg, key.strip(), raw, f"--set {item!r}")
-    if env.get(SEED_ENV_VAR):
-        try:
-            cfg.seed = int(env[SEED_ENV_VAR])
-        except ValueError:
-            raise ConfigurationError(
-                f"{SEED_ENV_VAR} must be an integer, got {env[SEED_ENV_VAR]!r}"
-            ) from None
     return cfg.validate()
 
 
-def load_config(path=None, overrides=(), env=None):
-    """File -> --set overrides -> NADEX_SEED, validated before returning."""
+def load_config(path=None, overrides=()):
+    """File -> --set overrides, validated before returning."""
     cfg = RunConfig()
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             parse_config_text(fh.read(), cfg, source=os.path.basename(path))
-    return finalize(cfg, overrides, env)
+    return finalize(cfg, overrides)

@@ -208,6 +208,32 @@ def test_restore_missing_tensor(tmp_path):
     assert "entity_table" in str(exc.value)
 
 
+def test_restore_optimizer_missing_moment(tmp_path):
+    cfg, vocab, params, sched, opt, rng = _trained_state()
+    path = tmp_path / "model.ckpt"
+    checkpoint.save(path, params, opt, "", vocab, 1, 0.0, rng)
+    loaded = checkpoint.load(path)
+    del loaded["arrays"]["adam.v.entity_table"]
+    _, _, fresh, _ = tiny_model()
+    with pytest.raises(CheckpointFormatError) as exc:
+        checkpoint.restore_optimizer(loaded, optim.Adam(fresh.tensors))
+    assert "adam.v.entity_table" in str(exc.value)
+
+
+def test_restore_optimizer_moment_shape_mismatch(tmp_path):
+    cfg, vocab, params, sched, opt, rng = _trained_state()
+    path = tmp_path / "model.ckpt"
+    checkpoint.save(path, params, opt, "", vocab, 1, 0.0, rng)
+    loaded = checkpoint.load(path)
+    assert loaded["arrays"]["adam.m.entity_table"].shape == (5, 16)
+    loaded["arrays"]["adam.m.entity_table"] = np.zeros((1, 16))
+    _, _, fresh, _ = tiny_model()
+    with pytest.raises(CheckpointFormatError) as exc:
+        checkpoint.restore_optimizer(loaded, optim.Adam(fresh.tensors))
+    assert "adam.m.entity_table" in str(exc.value)
+    assert "shape" in str(exc.value)
+
+
 def test_config_text_preserves_unicode(tmp_path):
     cfg, vocab, params, sched, opt, rng = _trained_state()
     path = tmp_path / "model.ckpt"

@@ -117,6 +117,24 @@ def test_missing_config_file_is_exit_2():
     assert "error: FileNotFoundError" in err
 
 
+@pytest.mark.parametrize("checkpoint_path", ["", "{root}", "{root}/missing/m.ckpt"],
+                         ids=["empty", "directory", "missing-parent"])
+def test_train_rejects_unwritable_checkpoint_before_reading_data(
+        workspace, monkeypatch, checkpoint_path):
+    parsed = []
+    real = cli.parse_quadruples
+    monkeypatch.setattr(cli, "parse_quadruples",
+                        lambda *a: parsed.append(a) or real(*a))
+    code, out, err = run_cli([
+        "train", "--config", str(workspace.cfg), "--set", "epochs=1",
+        "--set", f"checkpoint={checkpoint_path.format(root=workspace.root)}"])
+    assert code == 2
+    assert err.startswith("error: ConfigurationError:")
+    assert "checkpoint" in err
+    assert out == ""
+    assert parsed == []
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -137,11 +155,11 @@ def test_eval_reproduces_stored_best_mrr_exactly(workspace, tmp_path):
 
 def test_eval_different_seed_changes_scores(workspace):
     code_a, out_a, _ = run_cli(["eval", "--checkpoint", str(workspace.ckpt),
-                                "--split", "valid", "--seed", "101"])
+                                "--split", "valid", "--set", "seed=101"])
     code_b, out_b, _ = run_cli(["eval", "--checkpoint", str(workspace.ckpt),
-                                "--split", "valid", "--seed", "101"])
+                                "--split", "valid", "--set", "seed=101"])
     code_c, out_c, _ = run_cli(["eval", "--checkpoint", str(workspace.ckpt),
-                                "--split", "valid", "--seed", "202"])
+                                "--split", "valid", "--set", "seed=202"])
     assert code_a == code_b == code_c == 0
     assert out_a == out_b
     assert out_a != out_c
@@ -173,7 +191,7 @@ def test_eval_reports_unseen_rows_on_mixed_split(workspace, tmp_path):
 
     out_path = tmp_path / "report.tsv"
     code, out, err = run_cli(["eval", "--checkpoint", str(workspace.ckpt),
-                              "--data-dir", str(tmp_path), "--split", "test",
+                              "--set", f"data_dir={tmp_path}", "--split", "test",
                               "--out", str(out_path)])
     assert code == 0, err
     assert f"queries={len(test_triples)}" in out
@@ -259,7 +277,7 @@ def test_predict_learned_the_cycle(workspace):
 
 def test_predict_is_seed_deterministic(workspace):
     argv = ["predict", "--checkpoint", str(workspace.ckpt), "--subject", "2",
-            "--relation", "1", "--time", "50", "--seed", "5"]
+            "--relation", "1", "--time", "50", "--set", "seed=5"]
     assert run_cli(argv)[1] == run_cli(argv)[1]
 
 
@@ -291,20 +309,21 @@ def test_predict_inverse_relation_is_valid(workspace):
 _QUERY = ["--subject", "0", "--relation", "0", "--time", "55"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["predict", *_QUERY, "--top-k", "-3"],
-    ["predict", *_QUERY, "--top-k", "0"],
-    ["predict", *_QUERY, "--seed", "-1"],
-    ["eval", "--split", "valid", "--seed", "-1"],
-    ["eval", "--split", "valid", "--k", "0"],
+@pytest.mark.parametrize("argv,error,name", [
+    (["predict", *_QUERY, "--top-k", "-3"], "ValidationError", "--top-k"),
+    (["predict", *_QUERY, "--top-k", "0"], "ValidationError", "--top-k"),
+    (["predict", *_QUERY, "--set", "seed=-1"], "ConfigurationError", "seed"),
+    (["eval", "--split", "valid", "--set", "seed=-1"], "ConfigurationError", "seed"),
+    (["eval", "--split", "valid", "--set", "eval_k=0"], "ConfigurationError",
+     "eval_k"),
 ], ids=["top-k-negative", "top-k-zero", "predict-seed-negative",
         "eval-seed-negative", "eval-k-zero"])
-def test_bad_flag_value_is_exit_2(workspace, argv):
+def test_bad_flag_value_is_exit_2(workspace, argv, error, name):
     code, out, err = run_cli([argv[0], "--checkpoint", str(workspace.ckpt),
                               *argv[1:]])
     assert code == 2
-    assert err.startswith("error: ValidationError:")
-    assert argv[-2] in err
+    assert err.startswith(f"error: {error}:")
+    assert name in err
     assert out == ""
 
 
@@ -333,7 +352,7 @@ def test_splits_exceeding_checkpoint_vocabulary_is_exit_2(
         workspace, tmp_path, argv, entities, relations):
     synthetic.write_splits(tmp_path, synthetic.cyclic_tkg(entities, relations, 60))
     code, out, err = run_cli([argv[0], "--checkpoint", str(workspace.ckpt),
-                              "--data-dir", str(tmp_path), *argv[1:]])
+                              "--set", f"data_dir={tmp_path}", *argv[1:]])
     assert code == 2
     assert err.startswith("error: ValidationError:")
     assert "exceeds the checkpoint's" in err
@@ -359,7 +378,7 @@ def test_eval_augments_inverses_with_checkpoint_vocabulary(tmp_path, monkeypatch
 
     monkeypatch.setattr(cli, "evaluate", recording)
     code, out, err = run_cli(["eval", "--checkpoint", str(ckpt_path),
-                              "--data-dir", str(tmp_path / "partial")])
+                              "--set", f"data_dir={tmp_path / 'partial'}"])
     assert code == 0, err
     # the model was trained on 3 base relations, so inverse r is r + 3 even
     # though the evaluated splits only use relations 0 and 1
@@ -408,3 +427,26 @@ def test_eval_requires_checkpoint_flag():
     with pytest.raises(SystemExit) as exc:
         run_cli(["eval"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data-dir", "d"],
+    ["eval", "--checkpoint", "m.ckpt", "--data-dir", "d"],
+    ["eval", "--checkpoint", "m.ckpt", "--seed", "1"],
+    ["eval", "--checkpoint", "m.ckpt", "--k", "2"],
+    ["predict", *_QUERY, "--checkpoint", "m.ckpt", "--data-dir", "d"],
+    ["predict", *_QUERY, "--checkpoint", "m.ckpt", "--seed", "1"],
+], ids=["train-data-dir", "eval-data-dir", "eval-seed", "eval-k",
+        "predict-data-dir", "predict-seed"])
+def test_settings_are_not_flags(argv):
+    # data_dir, seed and eval_k come from the config text and --set only
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+
+
+def test_seed_environment_variable_is_ignored(workspace, monkeypatch):
+    argv = ["eval", "--checkpoint", str(workspace.ckpt), "--split", "valid"]
+    plain = run_cli(argv)
+    monkeypatch.setenv("NADEX_SEED", "101")
+    assert run_cli(argv) == plain

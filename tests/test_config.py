@@ -2,13 +2,12 @@
 
 import pytest
 
-from nadex import config
 from nadex.config import RunConfig, finalize, load_config, parse_config_text
 from nadex.errors import ConfigurationError
 
 
 def test_defaults_validate():
-    cfg = finalize(RunConfig(), env={})
+    cfg = finalize(RunConfig())
     assert cfg.hidden == 200
     assert cfg.m_steps == 50
     assert cfg.lam == 0.5
@@ -67,43 +66,29 @@ def test_bad_coercions_name_the_value(line, fragment):
 def test_override_beats_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("hidden = 64\nepochs = 5\n")
-    cfg = load_config(p, overrides=("hidden=128",), env={})
+    cfg = load_config(p, overrides=("hidden=128",))
     assert cfg.hidden == 128
     assert cfg.epochs == 5
 
 
-def test_env_seed_beats_file_and_override(tmp_path):
-    p = tmp_path / "run.cfg"
-    p.write_text("seed = 1\n")
-    cfg = load_config(p, overrides=("seed=2",), env={"NADEX_SEED": "9"})
-    assert cfg.seed == 9
-
-
-def test_env_seed_must_be_integer():
-    with pytest.raises(ConfigurationError) as exc:
-        finalize(RunConfig(), env={"NADEX_SEED": "pi"})
-    assert "NADEX_SEED" in str(exc.value)
-
-
 def test_malformed_override():
     with pytest.raises(ConfigurationError) as exc:
-        finalize(RunConfig(), overrides=("hidden",), env={})
+        finalize(RunConfig(), overrides=("hidden",))
     assert "--set" in str(exc.value)
 
 
 def test_lambda_alias_both_directions():
     cfg = parse_config_text("lambda = 0.75")
     assert cfg.lam == 0.75
-    text = finalize(cfg, env={}).to_text()
+    text = finalize(cfg).to_text()
     assert "lambda = 0.75" in text
     assert "lam =" not in text
 
 
 def test_to_text_roundtrip():
     cfg = finalize(RunConfig(hidden=48, layers=1, heads=2, dropout=0.1,
-                             lam=0.3, eval_k=3, epochs=2),
-                   env={})
-    back = finalize(parse_config_text(cfg.to_text()), env={})
+                             lam=0.3, eval_k=3, epochs=2))
+    back = finalize(parse_config_text(cfg.to_text()))
     assert back == cfg
 
 
@@ -125,13 +110,13 @@ def test_to_text_roundtrip():
 def test_validation_failures(text, fragment):
     cfg = parse_config_text(text)
     with pytest.raises(ConfigurationError) as exc:
-        finalize(cfg, env={})
+        finalize(cfg)
     assert fragment in str(exc.value)
 
 
 def test_sub_config_builders():
     cfg = finalize(RunConfig(hidden=48, layers=1, heads=2, dropout=0.0,
-                             m_steps=4), env={})
+                             m_steps=4))
     dn = cfg.denoiser_config()
     assert dn.hidden == 48 and dn.ffn == 192
     sched = cfg.schedule()
@@ -144,5 +129,5 @@ def test_file_errors_name_the_file(tmp_path):
     p = tmp_path / "broken.cfg"
     p.write_text("hidden = \n")
     with pytest.raises(ConfigurationError) as exc:
-        load_config(p, env={})
+        load_config(p)
     assert "broken.cfg" in str(exc.value)
