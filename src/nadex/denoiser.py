@@ -3,11 +3,13 @@
 Input sequences carry L history positions plus one target slot, already
 conditioned with relation and time-gap embeddings. The encoder adds a
 learned position embedding per slot and a step embedding (broadcast to all
-slots) for the current noise level, runs pre-norm bidirectional
-self-attention with padded positions masked out of the keys, and reads the
-final-normed last position as the clean-target estimate. Candidates are
-scored by dot products against the same entity table that embeds the
-history and the gold targets.
+slots) for the current noise level and runs pre-norm bidirectional
+self-attention with padded positions masked out of the keys. Only the last
+position is read out, so the last layer attends from the target slot alone
+(its keys and values still span every unmasked slot) and runs its output
+projection and FFN on that row; the final-normed row is the clean-target
+estimate. Candidates are scored by dot products against the same entity
+table that embeds the history and the gold targets.
 """
 
 import math
@@ -149,7 +151,10 @@ def denoise(params, input_seq, m, padding_mask, train_mode=False, rng=None):
 
     ``padding_mask`` [N, S] marks attendable positions (the target slot must
     be True). Masked positions are excluded as attention keys, so the
-    output is exactly independent of their content.
+    output is exactly independent of their content. Every layer but the
+    last runs over all S slots; the last one attends from the target slot
+    only, over keys and values from every unmasked slot, and returns its
+    final-normed row [N, h].
     """
     cfg = params.config
     n, s, h = input_seq.shape
@@ -178,17 +183,21 @@ def denoise(params, input_seq, m, padding_mask, train_mode=False, rng=None):
     for i in range(cfg.layers):
         pre = f"layer{i}"
         xn = T.layer_norm(x, params[f"{pre}.ln1.gain"], params[f"{pre}.ln1.bias"])
-        q = T.add(T.matmul(xn, params[f"{pre}.attn.wq"]), params[f"{pre}.attn.bq"])
         k = T.add(T.matmul(xn, params[f"{pre}.attn.wk"]), params[f"{pre}.attn.bk"])
         v = T.add(T.matmul(xn, params[f"{pre}.attn.wv"]), params[f"{pre}.attn.bv"])
-        q = _split_heads(q, n, s, heads, dh)
         k = _split_heads(k, n, s, heads, dh)
         v = _split_heads(v, n, s, heads, dh)
+        if i == cfg.layers - 1:
+            # only the target slot is read out, so from here on it alone
+            # queries, carries the residual and feeds the FFN: [N, h]
+            xn, x = T.take(xn, s - 1, axis=1), T.take(x, s - 1, axis=1)
+        q = T.add(T.matmul(xn, params[f"{pre}.attn.wq"]), params[f"{pre}.attn.bq"])
+        q = _split_heads(q, n, -1, heads, dh)  # s query rows, 1 in the last layer
         logits = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
         att = T.softmax(T.add(logits, key_bias), temperature=1.0, axis=-1)
         att = T.dropout(att, cfg.dropout, rng, train_mode)
         ctx = T.matmul(att, v)
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (n, s, h))
+        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), x.shape)
         ctx = T.add(T.matmul(ctx, params[f"{pre}.attn.wo"]), params[f"{pre}.attn.bo"])
         ctx = T.dropout(ctx, cfg.dropout, rng, train_mode)
         x = T.add(x, ctx)
@@ -200,8 +209,7 @@ def denoise(params, input_seq, m, padding_mask, train_mode=False, rng=None):
         ffn = T.dropout(ffn, cfg.dropout, rng, train_mode)
         x = T.add(x, ffn)
 
-    read = T.take(x, s - 1, axis=1)
-    return T.layer_norm(read, params["final_ln.gain"], params["final_ln.bias"])
+    return T.layer_norm(x, params["final_ln.gain"], params["final_ln.bias"])
 
 
 def score_entities(denoised, entity_table, temperature):

@@ -300,10 +300,12 @@ def test_criterion_08_ablation_direction():
     ablated = [_ablation_mrr(prepped, 1.0, s) for s in seeds]
     mean_full, mean_abl = float(np.mean(full)), float(np.mean(ablated))
     elapsed = time.perf_counter() - start
+    per_seed = ", ".join(f"seed {s}: {f:.4f} vs {a:.4f}"
+                         for s, f, a in zip(seeds, full, ablated))
     _verdict(8, "negative-alignment term helps on the trap stream",
              mean_full >= mean_abl,
              f"full {mean_full:.4f} vs disabled {mean_abl:.4f} over "
-             f"{len(seeds)} seeds, {elapsed:.0f}s")
+             f"{len(seeds)} seeds [{per_seed}], {elapsed:.0f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,75 @@ def test_position_permutation_changes_output():
     assert not np.array_equal(a, b)
 
 
+def _reference_denoise(params, seq, m, padding_mask):
+    """Eval-mode forward in plain numpy with every layer over all S slots,
+    read out at slot S - 1 afterwards."""
+    p = {name: t.data for name, t in params.tensors.items()}
+    cfg = params.config
+    n, s, h = seq.shape
+    heads, dh = cfg.heads, h // cfg.heads
+
+    def ln(x, pre):
+        c = x - x.mean(axis=-1, keepdims=True)
+        var = np.maximum((c**2).mean(axis=-1, keepdims=True),
+                         K.LAYER_NORM_VAR_FLOOR)
+        return c / np.sqrt(var) * p[f"{pre}.gain"] + p[f"{pre}.bias"]
+
+    def split(x):
+        return x.reshape(n, s, heads, dh).transpose(0, 2, 1, 3)
+
+    x = seq + p["position_table"][:s] + p["step_table"][m - 1]
+    bias = np.where(padding_mask, 0.0, K.MASK_NEG)[:, None, None, :]
+    for i in range(cfg.layers):
+        pre = f"layer{i}"
+        xn = ln(x, f"{pre}.ln1")
+        q, k, v = (split(xn @ p[f"{pre}.attn.w{c}"] + p[f"{pre}.attn.b{c}"])
+                   for c in "qkv")
+        logits = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh) + bias
+        e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        ctx = (e / e.sum(axis=-1, keepdims=True)) @ v
+        ctx = ctx.transpose(0, 2, 1, 3).reshape(n, s, h)
+        x = x + ctx @ p[f"{pre}.attn.wo"] + p[f"{pre}.attn.bo"]
+        inner = np.maximum(ln(x, f"{pre}.ln2") @ p[f"{pre}.ffn.w1"]
+                           + p[f"{pre}.ffn.b1"], 0.0)
+        x = x + inner @ p[f"{pre}.ffn.w2"] + p[f"{pre}.ffn.b2"]
+    return ln(x[:, s - 1], "final_ln")
+
+
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_denoise_matches_full_slot_reference(layers):
+    cfg, vocab, params, _ = tiny_model(layers=layers, window=8, seed=layers)
+    rng = np.random.default_rng(20 + layers)
+    batch = random_batch(rng, 7, cfg.window, vocab.num_entities,
+                         vocab.num_relations, cfg.dt_max)
+    assert not batch.mask.all(), "need padded rows"
+    hist, rel, dt, key_mask, _ = denoiser.embed_batch(params, batch)
+    noised = diffusion.make_inference_input(
+        hist, rng.normal(size=(batch.size, cfg.hidden)), rel, dt)
+    out = denoiser.denoise(params, noised, 3, key_mask).data
+    ref = _reference_denoise(params, noised.data, 3, key_mask)
+    assert out.dtype == np.float64 and out.shape == ref.shape
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_last_layer_runs_its_ffn_on_the_target_slot_only():
+    # a full-slot layer tapes three [N, S, 4h] nodes (x @ w1, + b1, relu);
+    # the last layer tapes none, its FFN runs on [N, h]
+    counts = []
+    for layers in (1, 2, 3):
+        cfg, vocab, params, _ = tiny_model(layers=layers, window=8,
+                                           dropout=0.2)
+        rng = np.random.default_rng(30)
+        batch = random_batch(rng, 4, cfg.window, vocab.num_entities,
+                             vocab.num_relations, cfg.dt_max)
+        wide = (batch.size, cfg.max_seq, cfg.ffn)
+        tape = K.Tape()
+        with tape.active():
+            _forward(params, cfg, batch, train_mode=True, rng=rng)
+        counts.append(sum(out.shape == wide for out, _ in tape._nodes))
+    assert counts == [0, 3, 6]
+
+
 def test_all_masked_target_slot_rejected():
     cfg, vocab, params, _ = tiny_model()
     rng = np.random.default_rng(4)

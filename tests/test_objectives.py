@@ -169,9 +169,19 @@ def test_loss_config_validation():
 
 def test_composite_gradient_three_entity_toy():
     # full pipeline gradient vs finite differences on a tiny instance
+    _check_composite_gradient(layers=1)
+
+
+def test_composite_gradient_three_entity_toy_two_layers():
+    # crosses a full-slot layer into the target-slot last layer, whose
+    # keys and values take their gradient from every slot
+    _check_composite_gradient(layers=2)
+
+
+def _check_composite_gradient(layers):
     for seed in range(3):
         cfg, vocab, params, sched = tiny_model(
-            hidden=8, layers=1, heads=2, window=2, dt_max=4, m_steps=3,
+            hidden=8, layers=layers, heads=2, window=2, dt_max=4, m_steps=3,
             num_entities=3, num_relations_base=2, seed=seed)
         rng = np.random.default_rng(seed + 100)
         batch = random_batch(rng, 3, cfg.window, vocab.num_entities,
