@@ -102,6 +102,9 @@ def cmd_train(args):
         raise ConfigurationError(f"checkpoint is not a file path in an "
                                  f"existing directory: {cfg.checkpoint!r}")
     vocab, aug = _read_splits(cfg)
+    # every epoch ends in validation, so an empty split fails before the first
+    if not aug["valid"]:
+        raise ValidationError(f"valid split is empty: {_split_path(cfg, 'valid')}")
     per_split = _split_histories(cfg, aug)
     schedule = cfg.schedule()
     params = init_params(cfg.denoiser_config(), vocab, cfg.seed)

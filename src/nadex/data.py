@@ -9,6 +9,7 @@ every downstream component only ever predicts the object slot.
 
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -39,8 +40,10 @@ class Vocabulary:
         return 2 * self.num_relations_base
 
 
-@dataclass(frozen=True)
-class HistorySample:
+class HistorySample(NamedTuple):
+    """A query and its window: read-only row views of shared blocks (see
+    build_histories)."""
+
     s: int
     r: int
     o: int
@@ -190,48 +193,38 @@ def build_histories(quads, window, dt_max):
     Facts sharing the query's own timestamp never enter its history, so
     samples leak nothing from their own snapshot. Empty histories are kept
     fully padded rather than dropped.
+
+    The samples' arrays are row views of four shared ``[N, window]`` blocks:
+    do not write to them in place, and note that a sample kept alive keeps
+    its whole block alive.
     """
     if window <= 0:
         raise ConfigurationError(f"history window must be positive, got {window}")
     if dt_max <= 0:
         raise ConfigurationError(f"dt_max must be positive, got {dt_max}")
-    for a, b in zip(quads, quads[1:]):
-        if b.t < a.t:
-            raise ValidationError("quadruples must be sorted by timestamp")
+    facts = np.fromiter(chain.from_iterable(quads), dtype=np.int64,
+                        count=4 * len(quads)).reshape(-1, 4)
+    if np.any(facts[1:, 3] < facts[:-1, 3]):
+        raise ValidationError("quadruples must be sorted by timestamp")
 
-    streams = {}  # subject -> list of (o, r, t), time-ascending
-    samples = []
-    i = 0
-    n = len(quads)
-    while i < n:
-        j = i
-        t = quads[i].t
-        while j < n and quads[j].t == t:
-            j += 1
-        for q in quads[i:j]:
-            past = streams.get(q.s, ())
-            recent = past[-window:] if len(past) > window else past
-            k = len(recent)
-            ho = np.zeros(window, dtype=np.int64)
-            hr = np.zeros(window, dtype=np.int64)
-            hd = np.zeros(window, dtype=np.int64)
-            mask = np.zeros(window, dtype=bool)
-            for pos, (po, pr, pt) in enumerate(recent):
-                slot = window - k + pos
-                ho[slot] = po
-                hr[slot] = pr
-                hd[slot] = min(t - pt, dt_max)
-                mask[slot] = True
-            samples.append(
-                HistorySample(
-                    s=q.s, r=q.r, o=q.o, t=q.t,
-                    hist_objects=ho, hist_relations=hr, hist_dt=hd, mask=mask,
-                )
-            )
-        for q in quads[i:j]:
-            streams.setdefault(q.s, []).append((q.o, q.r, q.t))
-        i = j
-    return samples
+    # each subject's facts in stream order; a fact's history is the `window`
+    # facts before its own (s, t) run, back to its subject's first fact
+    order = np.argsort(facts[:, 0], kind="stable")
+    s, r, o, t = facts[order].T
+    pos = np.arange(len(facts))
+    new_subject = np.diff(s, prepend=s[:1]) != 0
+    new_run = new_subject | (np.diff(t, prepend=t[:1]) != 0)
+    subject_start = np.maximum.accumulate(np.where(new_subject, pos, 0))
+    run_start = np.maximum.accumulate(np.where(new_run, pos, 0))
+    idx = run_start[:, None] + np.arange(-window, 0)
+    pad = idx < subject_start[:, None]
+    idx[pad] = 0
+    blocks = [o[idx], r[idx], np.minimum(t[:, None] - t[idx], dt_max)]
+    for block in blocks:
+        block[pad] = 0
+    back = np.argsort(order)  # sorted rows back to stream order
+    blocks = [block[back] for block in blocks + [~pad]]
+    return [HistorySample(*q, *rows) for q, rows in zip(quads, zip(*blocks))]
 
 
 def batch_by_timestamp(samples, b_max=512):

@@ -135,6 +135,22 @@ def test_train_rejects_unwritable_checkpoint_before_reading_data(
     assert parsed == []
 
 
+def test_train_rejects_empty_valid_split_before_first_epoch(workspace, tmp_path):
+    for name in ("train", "test"):
+        (tmp_path / f"{name}.txt").write_text(
+            (workspace.data_dir / f"{name}.txt").read_text())
+    (tmp_path / "valid.txt").write_text("")
+    code, out, err = run_cli([
+        "train", "--config", str(workspace.cfg), "--set", "epochs=1",
+        "--set", f"data_dir={tmp_path}",
+        "--set", f"checkpoint={tmp_path / 'model.ckpt'}"])
+    assert code == 2
+    assert err.startswith("error: ValidationError:")
+    assert str(tmp_path / "valid.txt") in err
+    assert not [l for l in out.splitlines() if l[:1].isdigit()]
+    assert not (tmp_path / "model.ckpt").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -342,6 +358,35 @@ def test_predict_builds_histories_over_one_window(workspace, monkeypatch):
     assert len(calls) == 1
     assert len(calls[0]) <= 4 + 1  # window = 4 in CONFIG_TEMPLATE, plus the query
     assert all(q.s == 0 for q in calls[0])
+
+
+def test_predict_window_equals_eval_window(workspace, monkeypatch):
+    """predict's one-subject window matches the merged-stream window that
+    eval builds for a test query with the same (s, t)."""
+    cfg = cli.load_config(str(workspace.cfg), [])
+    _, aug = cli._read_splits(cfg)
+    test_samples = cli._split_histories(cfg, aug)["test"]
+    real = cli.build_histories
+    captured = []
+
+    def recording(quads, window, dt_max):
+        samples = real(quads, window, dt_max)
+        captured.append(samples[-1])
+        return samples
+
+    monkeypatch.setattr(cli, "build_histories", recording)
+    for ref in test_samples[::7]:
+        captured.clear()
+        code, out, err = run_cli([
+            "predict", "--checkpoint", str(workspace.ckpt), "--subject",
+            str(ref.s), "--relation", str(ref.r), "--time", str(ref.t)])
+        assert code == 0, err
+        (sample,) = captured
+        assert (sample.s, sample.r, sample.t) == (ref.s, ref.r, ref.t)
+        for field in ("hist_objects", "hist_relations", "hist_dt", "mask"):
+            got, want = getattr(sample, field), getattr(ref, field)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (field, ref.s, ref.t)
 
 
 @pytest.mark.parametrize("argv", [["eval"], ["predict", *_QUERY]],

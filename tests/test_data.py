@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nadex import data
 from nadex.errors import ConfigurationError, ParseError, ValidationError
@@ -234,6 +236,52 @@ def test_histories_match_quadratic_rescan_oracle():
             assert list(smp.hist_dt[window - k:]) == dt_ref
             assert not smp.mask[:window - k].any()
             assert smp.mask[window - k:].all()
+
+
+@st.composite
+def sorted_streams(draw):
+    """Time-sorted streams over up to 30 subjects and a few timestamps, so
+    same-(s, t) runs are common."""
+    num_subjects = draw(st.integers(1, 30))
+    num_times = draw(st.integers(1, 6))
+    facts = draw(st.lists(st.tuples(
+        st.integers(0, num_subjects - 1), st.integers(0, 3),
+        st.integers(0, 29), st.integers(0, num_times - 1)), max_size=80))
+    return [data.Quadruple(*f) for f in sorted(facts, key=lambda f: f[3])]
+
+
+def _q(rows):
+    return [data.Quadruple(*row) for row in rows]
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(quads=sorted_streams(), window=st.integers(1, 6),
+       dt_max=st.integers(1, 10))
+@example(quads=[], window=3, dt_max=4)
+@example(quads=_q([(i % 3, i % 2, i, 5) for i in range(7)]), window=2,
+         dt_max=4)  # a single timestamp
+@example(quads=_q([(i % 4, 0, i, i // 3) for i in range(20)]), window=1,
+         dt_max=3)
+@example(quads=_q([(0, i % 2, i, 1 + i // 5) for i in range(11)]),
+         window=2, dt_max=9)  # same-(s, t) runs of 5 under a window of 2
+@example(quads=_q([(i % 24, i % 3, i % 7, i // 24) for i in range(96)]),
+         window=3, dt_max=2)  # 24 subjects
+def test_histories_match_oracle_on_generated_streams(quads, window, dt_max):
+    samples = data.build_histories(quads, window=window, dt_max=dt_max)
+    assert len(samples) == len(quads)
+    for i, (q, smp) in enumerate(zip(quads, samples)):
+        fields = (smp.s, smp.r, smp.o, smp.t)
+        assert fields == tuple(q)
+        assert all(type(v) is int for v in fields)
+        for arr in (smp.hist_objects, smp.hist_relations, smp.hist_dt):
+            assert arr.dtype == np.int64 and arr.shape == (window,)
+        assert smp.mask.dtype == np.bool_ and smp.mask.shape == (window,)
+        o_ref, r_ref, dt_ref = brute_force_history(quads, i, window, dt_max)
+        pad = window - len(o_ref)
+        assert smp.hist_objects.tolist() == [0] * pad + o_ref
+        assert smp.hist_relations.tolist() == [0] * pad + r_ref
+        assert smp.hist_dt.tolist() == [0] * pad + dt_ref
+        assert smp.mask.tolist() == [False] * pad + [True] * len(o_ref)
 
 
 def test_no_leakage_property():
