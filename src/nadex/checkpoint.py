@@ -33,14 +33,14 @@ MAGIC = b"NADX"
 VERSION = 1
 
 
-def _pack_tensor(name, arr):
+def _write_tensor(fh, name, arr):
+    """One tensor record: the small header, then the array's buffer as is,
+    so a multi-MB tensor is never copied to be written."""
     encoded = name.encode("utf-8")
     arr = np.ascontiguousarray(arr, dtype="<f8")
-    parts = [struct.pack("<H", len(encoded)), encoded,
-             struct.pack("<I", arr.ndim)]
-    parts += [struct.pack("<I", extent) for extent in arr.shape]
-    parts.append(arr.tobytes())
-    return b"".join(parts)
+    fh.write(struct.pack(f"<H{len(encoded)}sI{arr.ndim}I", len(encoded),
+                         encoded, arr.ndim, *arr.shape))
+    fh.write(arr)
 
 
 def save(path, params, optimizer, config_text, vocab, epoch, best_valid_mrr, rng):
@@ -63,7 +63,7 @@ def save(path, params, optimizer, config_text, vocab, epoch, best_valid_mrr, rng
         fh.write(rng_blob)
         fh.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays.items():
-            fh.write(_pack_tensor(name, arr))
+            _write_tensor(fh, name, arr)
 
 
 class _Reader:

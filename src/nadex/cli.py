@@ -48,8 +48,8 @@ def _split_path(cfg, name):
     return os.path.join(cfg.data_dir, f"{name}.txt")
 
 
-def _read_splits(cfg, vocab=None):
-    """Parse the splits into ``(vocab, {name: inverse-augmented quads})``.
+def _parse_splits(cfg, vocab=None):
+    """Parse and validate the splits into ``(vocab, {name: quads})``.
 
     ``vocab`` defaults to the splits' own. A checkpoint's keeps the inverse
     relation ids the model was trained with; splits exceeding it are rejected.
@@ -71,6 +71,12 @@ def _read_splits(cfg, vocab=None):
             f"split vocabulary ({found.num_entities} entities, "
             f"{found.num_relations_base} relations) exceeds the checkpoint's"
         )
+    return vocab, raw
+
+
+def _read_splits(cfg, vocab=None):
+    """``_parse_splits`` with every split inverse-augmented."""
+    vocab, raw = _parse_splits(cfg, vocab)
     return vocab, {name: augment_inverse(quads, vocab) for name, quads in raw.items()}
 
 
@@ -173,11 +179,17 @@ def cmd_predict(args):
             f"relation {args.relation} outside augmented relation vocabulary "
             f"[0, {vocab.num_relations})"
         )
-    _, aug = _read_splits(cfg, vocab)
-    # a stable sort keeps the merged stream's order among equal timestamps
-    past = sorted((q for name in SPLITS for q in aug[name]
-                   if q.s == args.subject and q.t < args.time),
-                  key=lambda q: q.t)
+    _, raw = _parse_splits(cfg, vocab)
+    # the subject's facts in the augmented stream's order (per split, the
+    # originals, then the inverses of facts with it as object); the stable
+    # sort keeps that order among equal timestamps
+    base = vocab.num_relations_base
+    past = []
+    for name in SPLITS:
+        past += [q for q in raw[name] if q.s == args.subject and q.t < args.time]
+        past += [Quadruple(q.o, q.r + base, q.s, q.t) for q in raw[name]
+                 if q.o == args.subject and q.t < args.time]
+    past.sort(key=lambda q: q.t)
     query = Quadruple(args.subject, args.relation, 0, args.time)
     sample = build_histories(past[-cfg.window :] + [query], cfg.window,
                              cfg.dt_max)[-1]

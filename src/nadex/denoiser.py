@@ -213,8 +213,14 @@ def denoise(params, input_seq, m, padding_mask, train_mode=False, rng=None):
 
 
 def score_entities(denoised, entity_table, temperature):
-    """Row-stochastic scores over all entities: softmax of dot products / tau."""
+    """Row-stochastic scores over all entities: softmax of dot products / tau.
+
+    The logits are formed as ``(E @ d.T).T`` so the ``[V, h]`` table reaches
+    BLAS as stored; only the ``[N, h]`` input and ``[V, N]`` product are
+    transposed (a taped transpose copies, since tensors stay C-contiguous).
+    """
     if temperature <= 0.0:
         raise ConfigurationError(f"temperature must be positive, got {temperature}")
-    logits = T.matmul(denoised, T.transpose(entity_table, (1, 0)))
+    logits = T.transpose(
+        T.matmul(entity_table, T.transpose(denoised, (1, 0))), (1, 0))
     return T.softmax(logits, temperature=temperature, axis=-1)

@@ -1,5 +1,6 @@
 """Checkpoint round-trips must be bitwise; corrupt files must be named."""
 
+import json
 import struct
 import tracemalloc
 
@@ -93,6 +94,33 @@ def test_resumed_training_equals_uninterrupted(tmp_path):
 
     for name, t in params.tensors.items():
         assert np.array_equal(fresh.tensors[name].data, t.data), name
+
+
+def test_saved_bytes_follow_documented_layout(tmp_path):
+    """The file equals a reference packed field by field from the layout in
+    the module docstring, with each tensor's data as raw little-endian f64."""
+    cfg, vocab, params, sched, opt, rng = _trained_state()
+    path = tmp_path / "model.ckpt"
+    text = "window = 3\n# é\n"
+    rng_blob = json.dumps(rng.bit_generator.state).encode("utf-8")
+    checkpoint.save(path, params, opt, text, vocab, 7, 0.625, rng)
+
+    arrays = {name: t.data for name, t in params.tensors.items()}
+    arrays.update(opt.state_arrays())
+    config_blob = text.encode("utf-8")
+    ref = [b"NADX", struct.pack("<II", checkpoint.VERSION, len(config_blob)),
+           config_blob,
+           struct.pack("<IIIII", vocab.num_entities, vocab.num_relations_base,
+                       vocab.max_time, 7, opt.step_count),
+           struct.pack("<dI", 0.625, len(rng_blob)), rng_blob,
+           struct.pack("<I", len(arrays))]
+    for name, arr in arrays.items():
+        encoded = name.encode("utf-8")
+        ref += [struct.pack("<H", len(encoded)), encoded,
+                struct.pack("<I", arr.ndim)]
+        ref += [struct.pack("<I", extent) for extent in arr.shape]
+        ref += [struct.pack("<d", value) for value in arr.ravel()]
+    assert path.read_bytes() == b"".join(ref)
 
 
 def test_bad_magic_rejected(tmp_path):

@@ -389,6 +389,34 @@ def test_predict_window_equals_eval_window(workspace, monkeypatch):
             assert np.array_equal(got, want), (field, ref.s, ref.t)
 
 
+def test_predict_history_equals_filtered_augmented_stream(workspace, monkeypatch):
+    """predict's facts, built from the raw splits, are the last window of
+    the inverse-augmented splits filtered to the subject, in the same order
+    among equal timestamps."""
+    cfg = cli.load_config(str(workspace.cfg), [])
+    _, aug = cli._read_splits(cfg)
+    stream = [q for name in cli.SPLITS for q in aug[name]]
+    real = cli.build_histories
+    captured = []
+
+    def recording(quads, window, dt_max):
+        captured.append(list(quads))
+        return real(quads, window, dt_max)
+
+    monkeypatch.setattr(cli, "build_histories", recording)
+    for subject, relation, t in [(0, 0, 9), (1, 2, 30), (3, 1, 47), (4, 3, 60),
+                                 (2, 0, 0)]:
+        past = sorted((q for q in stream if q.s == subject and q.t < t),
+                      key=lambda q: q.t)
+        captured.clear()
+        code, out, err = run_cli([
+            "predict", "--checkpoint", str(workspace.ckpt), "--subject",
+            str(subject), "--relation", str(relation), "--time", str(t)])
+        assert code == 0, err
+        query = cli.Quadruple(subject, relation, 0, t)
+        assert captured == [past[-cfg.window :] + [query]]
+
+
 @pytest.mark.parametrize("argv", [["eval"], ["predict", *_QUERY]],
                          ids=["eval", "predict"])
 @pytest.mark.parametrize("entities,relations", [(6, 2), (5, 3)],

@@ -1,5 +1,7 @@
 """Transformer denoiser: init, masking, readout, scoring, capacity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -382,6 +384,51 @@ def test_temperature_sharpens_and_flattens():
     flat = denoiser.score_entities(pred, table, temperature=10.0).data
     assert sharp[0, 0] > 0.99
     assert abs(flat[0, 0] - 0.5) < 0.03
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+@pytest.mark.parametrize("n", [1, 7, 256])
+@pytest.mark.parametrize("h", [16, 200])
+def test_score_logits_match_product_with_copied_transpose(monkeypatch, dtype,
+                                                          rtol, n, h):
+    """The logits equal ``d @ E.T`` with the transpose copied, to a rounding
+    tolerance relative to the largest logit; probabilities sum to one."""
+    rng = np.random.default_rng(31 + n + h)
+    table = rng.normal(0.0, h ** -0.5, size=(300, h)).astype(dtype)
+    pred = rng.normal(size=(n, h)).astype(dtype)
+    seen = []
+    softmax = K.softmax
+
+    def spy(x, temperature=1.0, axis=-1):
+        seen.append(x.data)
+        return softmax(x, temperature=temperature, axis=axis)
+
+    monkeypatch.setattr(K, "softmax", spy)
+    with K.no_grad():
+        probs = denoiser.score_entities(K.Tensor(pred), K.Tensor(table), 0.5).data
+    (logits,) = seen
+    reference = pred @ np.ascontiguousarray(table.T)
+    assert logits.dtype == probs.dtype == dtype
+    assert logits.shape == reference.shape == (n, 300)
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(logits - reference)) <= rtol * scale
+    assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= rtol
+
+
+def test_score_allocates_less_than_half_the_table():
+    """Scoring one row must not copy the ``[V, h]`` table (e.g. a transpose)."""
+    rng = np.random.default_rng(5)
+    table = K.Tensor(rng.normal(size=(2000, 200)))
+    pred = K.Tensor(rng.normal(size=(1, 200)))
+    limit = table.data.nbytes // 2
+    with K.no_grad():
+        tracemalloc.start()
+        try:
+            denoiser.score_entities(pred, table, temperature=0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < limit, f"peak {peak} B, limit {limit} B"
 
 
 # ---------------------------------------------------------------------------
