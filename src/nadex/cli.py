@@ -43,6 +43,15 @@ from .objectives import train_epoch
 
 SPLITS = ("train", "valid", "test")
 
+# the first entry that matches wins, so a subclass precedes its base
+EXIT_CODES = (
+    (CheckpointVersionError, 3),
+    (UnknownIdError, 4),
+    ((ConfigurationError, ParseError, ValidationError, CheckpointFormatError,
+      OSError), 2),
+    (NadexError, 1),
+)
+
 
 def _split_path(cfg, name):
     return os.path.join(cfg.data_dir, f"{name}.txt")
@@ -180,15 +189,14 @@ def cmd_predict(args):
             f"[0, {vocab.num_relations})"
         )
     _, raw = _parse_splits(cfg, vocab)
-    # the subject's facts in the augmented stream's order (per split, the
-    # originals, then the inverses of facts with it as object); the stable
-    # sort keeps that order among equal timestamps
-    base = vocab.num_relations_base
+    # the subject's facts in the augmented stream's order, from augmenting
+    # only the facts that name it; the stable sort keeps that order among
+    # equal timestamps
     past = []
     for name in SPLITS:
-        past += [q for q in raw[name] if q.s == args.subject and q.t < args.time]
-        past += [Quadruple(q.o, q.r + base, q.s, q.t) for q in raw[name]
-                 if q.o == args.subject and q.t < args.time]
+        named = [q for q in raw[name] if args.subject in (q.s, q.o)]
+        past += [q for q in augment_inverse(named, vocab)
+                 if q.s == args.subject and q.t < args.time]
     past.sort(key=lambda q: q.t)
     query = Quadruple(args.subject, args.relation, 0, args.time)
     sample = build_histories(past[-cfg.window :] + [query], cfg.window,
@@ -202,12 +210,9 @@ def cmd_predict(args):
         seq = make_inference_input(hist, noise, rel, dt)
         est = denoise(params, seq, schedule.m_steps, key_mask)
         probs = score_entities(est, params.scoring_table(), cfg.tau).data[0]
-    top_k = min(args.top_k, vocab.num_entities)
-    order = np.argsort(-probs, kind="stable")[:top_k]
-    labels = {}
+    order = np.argsort(-probs, kind="stable")[:args.top_k]
     label_path = os.path.join(cfg.data_dir, "entity2id.txt")
-    if os.path.isfile(label_path):
-        labels = read_id_labels(label_path)
+    labels = read_id_labels(label_path) if os.path.isfile(label_path) else {}
     print("# rank\tentity\tprobability\tlabel")
     for rank, ent in enumerate(order, start=1):
         name = labels.get(int(ent), "")
@@ -265,26 +270,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CheckpointVersionError as err:
+    except (NadexError, OSError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 3
-    except UnknownIdError as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 4
-    except (ConfigurationError, ParseError, ValidationError,
-            CheckpointFormatError) as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 2
-    except NadexError as err:
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 1
+        return next(code for kinds, code in EXIT_CODES if isinstance(err, kinds))
 
 
 if __name__ == "__main__":

@@ -146,6 +146,11 @@ def load_config(path=None, overrides=()):
     """File -> --set overrides, validated before returning."""
     cfg = RunConfig()
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            parse_config_text(fh.read(), cfg, source=os.path.basename(path))
+        name = os.path.basename(path)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except UnicodeDecodeError as err:
+            raise ConfigurationError(f"{name}: not UTF-8 text ({err.reason})") from None
+        parse_config_text(text, cfg, source=name)
     return finalize(cfg, overrides)

@@ -72,6 +72,17 @@ class TimestampBatch:
         return int(self.golds.shape[0])
 
 
+def _numbered_lines(path):
+    """Yield ``(lineno, line)``, 1-based, from a UTF-8 text file; bytes that
+    are not UTF-8 raise ParseError naming the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{os.path.basename(path)}: not UTF-8 text "
+                             f"({err.reason})") from None
+
+
 def parse_quadruples(path, time_granularity):
     """Read one split file into a list of Quadruples.
 
@@ -82,31 +93,25 @@ def parse_quadruples(path, time_granularity):
         raise ConfigurationError(
             f"time granularity must be a positive integer, got {time_granularity}"
         )
+    name = os.path.basename(path)
     quads = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            fields = stripped.split("\t")
-            if len(fields) < 4:
-                raise ParseError(
-                    f"{os.path.basename(path)} line {lineno}: expected >= 4 "
-                    f"tab-separated fields, got {len(fields)}"
-                )
-            try:
-                s, r, o, raw_t = (int(fields[i]) for i in range(4))
-            except ValueError:
-                raise ParseError(
-                    f"{os.path.basename(path)} line {lineno}: non-integer field "
-                    f"in {stripped!r}"
-                ) from None
-            if s < 0 or r < 0 or o < 0 or raw_t < 0:
-                raise ValidationError(
-                    f"{os.path.basename(path)} line {lineno}: negative id or "
-                    f"timestamp in {stripped!r}"
-                )
-            quads.append(Quadruple(s, r, o, raw_t // time_granularity))
+    for lineno, line in _numbered_lines(path):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        fields = stripped.split("\t")
+        if len(fields) < 4:
+            raise ParseError(f"{name} line {lineno}: expected >= 4 "
+                             f"tab-separated fields, got {len(fields)}")
+        try:
+            s, r, o, raw_t = (int(fields[i]) for i in range(4))
+        except ValueError:
+            raise ParseError(f"{name} line {lineno}: non-integer field "
+                             f"in {stripped!r}") from None
+        if s < 0 or r < 0 or o < 0 or raw_t < 0:
+            raise ValidationError(f"{name} line {lineno}: negative id or "
+                                  f"timestamp in {stripped!r}")
+        quads.append(Quadruple(s, r, o, raw_t // time_granularity))
     return quads
 
 
@@ -149,25 +154,21 @@ def build_vocabulary(*splits):
 
 def read_id_labels(path):
     """Load optional "name\\tid" label files into an id -> name dict."""
+    name = os.path.basename(path)
     labels = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.rstrip("\n")
-            if not stripped.strip():
-                continue
-            parts = stripped.split("\t")
-            if len(parts) < 2:
-                raise ParseError(
-                    f"{os.path.basename(path)} line {lineno}: expected "
-                    f"'name\\tid', got {stripped!r}"
-                )
-            try:
-                labels[int(parts[-1])] = "\t".join(parts[:-1])
-            except ValueError:
-                raise ParseError(
-                    f"{os.path.basename(path)} line {lineno}: id field is not "
-                    f"an integer in {stripped!r}"
-                ) from None
+    for lineno, line in _numbered_lines(path):
+        stripped = line.rstrip("\n")
+        if not stripped.strip():
+            continue
+        parts = stripped.split("\t")
+        if len(parts) < 2:
+            raise ParseError(f"{name} line {lineno}: expected "
+                             f"'name\\tid', got {stripped!r}")
+        try:
+            labels[int(parts[-1])] = "\t".join(parts[:-1])
+        except ValueError:
+            raise ParseError(f"{name} line {lineno}: id field is not "
+                             f"an integer in {stripped!r}") from None
     return labels
 
 

@@ -19,7 +19,9 @@ closure may therefore hand ``accumulate_grad`` a view of its own ``g`` (a
 transpose, reshape, broadcast or slice) or an array it keeps using;
 ``.grad`` never aliases it. The buffer is C-ordered on purpose: a gradient
 laid out like a transposed view would later reach BLAS with other strides
-and could round differently.
+and could round differently. The gathers instead scatter-add ``g`` into
+``grad_buffer()``, zero-filled on first use, so no dense gradient is built
+and the entries they do not touch keep their bits.
 
 The tape lives in thread-local state: training owns one tape on one thread,
 while gradient-free scoring can run on worker threads under ``no_grad`` (or
@@ -120,6 +122,12 @@ class Tensor:
             self.grad = np.add(g, 0.0, out=np.empty(self.shape, self.data.dtype))
         else:
             self.grad += g
+
+    def grad_buffer(self):
+        """``.grad`` for an in-place scatter, zero-filled on first use."""
+        if self.grad is None:
+            self.grad = np.zeros(self.shape, self.data.dtype)
+        return self.grad
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -451,43 +459,40 @@ def dropout(x, rate, rng, train_mode):
 # indexing and shaping
 
 
+def _check_ids(ids, extent, what):
+    """``ids`` as int64; UnknownIdError unless all lie in ``[0, extent)``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= extent)]
+    if bad.size:
+        raise UnknownIdError(f"id {bad[0]} out of range for {extent} {what}")
+    return ids
+
+
 def embedding_gather(table, ids):
     """Copy rows ``ids`` (any integer shape) out of a [V, h] table.
 
     Backward scatter-adds into the table gradient; duplicate ids therefore
     receive summed upstream gradients.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    v = table.shape[0]
-    if ids.size:
-        lo, hi = int(ids.min()), int(ids.max())
-        if lo < 0 or hi >= v:
-            bad = lo if lo < 0 else hi
-            raise UnknownIdError(f"id {bad} out of range for table with {v} rows")
+    ids = _check_ids(ids, table.shape[0], "table rows")
     out = Tensor(table.data[ids.reshape(-1)].reshape(ids.shape + (table.shape[1],)))
 
     def bwd(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
         # unbuffered: duplicate ids accumulate, in the order of ``ids``
-        np.add.at(table.grad, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        np.add.at(table.grad_buffer(), ids.reshape(-1), g.reshape(-1, table.shape[1]))
 
     return record_op(out, (table,), bwd)
 
 
 def gather_rows_at(x, col_ids):
     """Pick one column per row of a 2-d tensor: out[i] = x[i, col_ids[i]]."""
-    col_ids = np.asarray(col_ids, dtype=np.int64)
     n, v = x.shape
-    if col_ids.size and (col_ids.min() < 0 or col_ids.max() >= v):
-        raise UnknownIdError(f"column id out of range for {v} columns")
+    col_ids = _check_ids(col_ids, v, "columns")
     rows = np.arange(n)
     out = Tensor(x.data[rows, col_ids])
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[rows, col_ids] = g
-        x.accumulate_grad(gx)
+        x.grad_buffer()[rows, col_ids] += g  # one entry per row: no collisions
 
     return record_op(out, (x,), bwd)
 
@@ -528,12 +533,9 @@ def concat(tensors, axis):
 def take(x, index, axis):
     """Slice one position off ``axis`` (the axis is removed)."""
     out = Tensor(np.take(x.data, index, axis=axis))
+    at = (slice(None),) * (axis % x.ndim) + (index,)
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        sl = [slice(None)] * x.ndim
-        sl[axis] = index
-        gx[tuple(sl)] = g
-        x.accumulate_grad(gx)
+        x.grad_buffer()[at] += g
 
     return record_op(out, (x,), bwd)

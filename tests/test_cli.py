@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from nadex import checkpoint, cli, synthetic
+from nadex import checkpoint, cli, errors, synthetic
 
 
 def run_cli(argv):
@@ -523,3 +523,71 @@ def test_seed_environment_variable_is_ignored(workspace, monkeypatch):
     plain = run_cli(argv)
     monkeypatch.setenv("NADEX_SEED", "101")
     assert run_cli(argv) == plain
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+
+
+@pytest.mark.parametrize("error,code", [
+    (errors.CheckpointVersionError, 3),
+    (errors.CheckpointFormatError, 2),
+    (errors.UnknownIdError, 4),
+    (errors.ConfigurationError, 2),
+    (errors.ParseError, 2),
+    (errors.ValidationError, 2),
+    (FileNotFoundError, 2),
+    (errors.NumericsError, 1),
+    (errors.ShapeMismatchError, 1),
+], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_error_maps_to_exit_code(monkeypatch, error, code):
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_inspect_schedule", fail)
+    got, out, err = run_cli(["inspect-schedule"])
+    assert got == code
+    assert err == f"error: {error.__name__}: boom\n"
+    assert out == ""
+
+
+def _copy_splits(workspace, to):
+    for name in cli.SPLITS:
+        (to / f"{name}.txt").write_bytes(
+            (workspace.data_dir / f"{name}.txt").read_bytes())
+
+
+def _assert_one_error_line(code, err, error, filename):
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {error}:")
+    assert filename in err
+
+
+def test_non_utf8_split_is_exit_2(workspace, tmp_path):
+    _copy_splits(workspace, tmp_path)
+    with open(tmp_path / "test.txt", "ab") as fh:
+        fh.write(b"0\t0\t1\t\xff\n")
+    code, out, err = run_cli([
+        "train", "--config", str(workspace.cfg), "--set", f"data_dir={tmp_path}",
+        "--set", f"checkpoint={tmp_path / 'model.ckpt'}"])
+    _assert_one_error_line(code, err, "ParseError", "test.txt")
+    assert out == ""
+
+
+def test_non_utf8_entity_labels_are_exit_2(workspace, tmp_path):
+    _copy_splits(workspace, tmp_path)
+    (tmp_path / "entity2id.txt").write_bytes(b"alpha\t0\nb\xffta\t1\n")
+    code, out, err = run_cli([
+        "predict", "--checkpoint", str(workspace.ckpt), *_QUERY,
+        "--set", f"data_dir={tmp_path}"])
+    _assert_one_error_line(code, err, "ParseError", "entity2id.txt")
+    assert out == ""
+
+
+def test_non_utf8_config_is_exit_2(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"epochs = 1\n# caf\xe9\n")
+    code, out, err = run_cli(["train", "--config", str(cfg)])
+    _assert_one_error_line(code, err, "ConfigurationError", "run.cfg")
+    assert out == ""

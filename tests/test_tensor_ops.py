@@ -276,6 +276,92 @@ def test_gather_unknown_id_names_id_and_size():
     assert "7" in msg and "4" in msg
 
 
+# The gathers' backward adds g into the entries it touched, one at a time in
+# order; each case is (input shape, op, that sequential reference).
+_GATHER_IDS = np.array([[3, 1], [3, 3]])  # id 3 three times: summed in order
+_COLUMNS = np.array([5, 0, 5, 2])
+
+
+def _scatter_rows(ref, g):
+    for i, row in zip(_GATHER_IDS.reshape(-1), g.reshape(-1, ref.shape[1])):
+        ref[i] += row
+
+
+def _scatter_columns(ref, g):
+    for i, c in enumerate(_COLUMNS):
+        ref[i, c] += g[i]
+
+
+def _scatter_slice(ref, g):
+    ref[:, 2, :] += g
+
+
+_GATHERS = {
+    "embedding_gather": ((5, 3), lambda x: K.embedding_gather(x, _GATHER_IDS),
+                         _scatter_rows),
+    "gather_rows_at": ((4, 6), lambda x: K.gather_rows_at(x, _COLUMNS),
+                       _scatter_columns),
+    "take": ((3, 4, 5), lambda x: K.take(x, 2, axis=1), _scatter_slice),
+}
+
+
+def _gather_backward(name, dtype, existing):
+    """Run one gather's backward with upstream g; return (grad, g)."""
+    shape, op, _ = _GATHERS[name]
+    rng = np.random.default_rng(17)
+    x = K.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+    x.grad = existing
+    with K.Tape().active():
+        out = op(x)
+        g = rng.normal(size=out.shape).astype(dtype)
+        K.backward(K.sum(K.mul(out, K.constant(g))))
+    return x.grad, g
+
+
+def _touched(shape, scatter, g):
+    touched = np.zeros(shape, bool)
+    scatter(touched, np.ones_like(g, dtype=bool))
+    return touched
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(_GATHERS))
+def test_gather_first_gradient_is_zero_outside_touched_entries(name, dtype):
+    shape, _, scatter = _GATHERS[name]
+    grad, g = _gather_backward(name, dtype, None)
+    assert grad.dtype == dtype and grad.flags.c_contiguous
+    expected = np.zeros(shape, dtype)
+    scatter(expected, g)
+    assert _same_bytes(grad, expected)
+    assert not np.any(grad[~_touched(shape, scatter, g)])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(_GATHERS))
+def test_gather_adds_into_existing_gradient_keeping_untouched_bits(name, dtype):
+    shape, _, scatter = _GATHERS[name]
+    rng = np.random.default_rng(23)
+    # large values make any regrouping of the sums change bits; -0.0 would
+    # turn into +0.0 if the untouched entries were added to
+    base = (rng.normal(size=shape) * 1e3).astype(dtype)
+    base[rng.random(shape) < 0.3] = -0.0
+    grad, g = _gather_backward(name, dtype, base.copy())
+    expected = base.copy()
+    scatter(expected, g)
+    assert _same_bytes(grad, expected)
+    untouched = base[~_touched(shape, scatter, g)]
+    assert np.any(np.signbit(untouched) & (untouched == 0.0))
+
+
+@pytest.mark.parametrize("cols,bad", [([0, 7, 1], "7"), ([0, -1, 1], "-1")])
+def test_gather_rows_at_unknown_column_names_id_and_extent(cols, bad):
+    x = t(np.ones((3, 4)))
+    with pytest.raises(UnknownIdError) as exc:
+        K.gather_rows_at(x, np.array(cols))
+    msg = str(exc.value)
+    assert f"id {bad} " in msg and "4 columns" in msg
+
+
 # ---------------------------------------------------------------------------
 # backward contract
 
