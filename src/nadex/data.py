@@ -262,13 +262,4 @@ def stack_samples(samples):
 
 def sample_to_batch(sample):
     """Wrap one HistorySample as a size-1 TimestampBatch (prediction path)."""
-    return TimestampBatch(
-        t=sample.t,
-        subjects=np.array([sample.s], dtype=np.int64),
-        relations=np.array([sample.r], dtype=np.int64),
-        golds=np.array([sample.o], dtype=np.int64),
-        hist_objects=sample.hist_objects[None, :],
-        hist_relations=sample.hist_relations[None, :],
-        hist_dt=sample.hist_dt[None, :],
-        mask=sample.mask[None, :],
-    )
+    return stack_samples([sample])

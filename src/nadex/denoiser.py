@@ -218,9 +218,8 @@ def score_entities(denoised, entity_table, temperature):
     The logits are formed as ``(E @ d.T).T`` so the ``[V, h]`` table reaches
     BLAS as stored; only the ``[N, h]`` input and ``[V, N]`` product are
     transposed (a taped transpose copies, since tensors stay C-contiguous).
+    ``T.softmax`` rejects a non-positive temperature.
     """
-    if temperature <= 0.0:
-        raise ConfigurationError(f"temperature must be positive, got {temperature}")
     logits = T.transpose(
         T.matmul(entity_table, T.transpose(denoised, (1, 0))), (1, 0))
     return T.softmax(logits, temperature=temperature, axis=-1)

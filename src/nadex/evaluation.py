@@ -75,26 +75,22 @@ class MetricReport:
         )
 
     def rows(self):
-        out = [
-            ("mrr", self.mrr), ("hits1", self.hits1),
-            ("hits3", self.hits3), ("hits10", self.hits10),
-        ]
+        """``(name, value, query count)`` per metric, the unseen subset's
+        rows after the full set's."""
+        n = self.query_count
+        yield from (("mrr", self.mrr, n), ("hits1", self.hits1, n),
+                    ("hits3", self.hits3, n), ("hits10", self.hits10, n))
         if self.unseen is not None:
-            out += [(f"unseen_{k}", v) for k, v in self.unseen.rows()]
-        return out
+            for name, value, count in self.unseen.rows():
+                yield f"unseen_{name}", value, count
 
     def to_tsv(self):
-        lines = []
-        for name, value in self.rows():
-            count = self.query_count
-            if name.startswith("unseen_"):
-                count = self.unseen.query_count
-            lines.append(f"{name}\t{value!r}\t{count}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{name}\t{value!r}\t{count}\n"
+                       for name, value, count in self.rows())
 
     def format_table(self):
         lines = [f"{'metric':<14}{'value':>10}  queries={self.query_count}"]
-        for name, value in self.rows():
+        for name, value, _ in self.rows():
             lines.append(f"{name:<14}{value:>10.4f}")
         return "\n".join(lines)
 

@@ -9,15 +9,14 @@ import numpy as np
 
 from ..errors import NumericsError
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Adam:
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         """``params``: dict name -> Tensor (insertion order is update order)."""
         self.params = params
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
@@ -33,8 +32,8 @@ class Adam:
             if p.grad is not None and not np.all(np.isfinite(p.grad)):
                 raise NumericsError(f"non-finite gradient for parameter '{name}'")
         self.step_count += 1
-        c1 = 1.0 - self.beta1 ** self.step_count
-        c2 = 1.0 - self.beta2 ** self.step_count
+        c1 = 1.0 - BETA1 ** self.step_count
+        c2 = 1.0 - BETA2 ** self.step_count
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -43,16 +42,16 @@ class Adam:
             # m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g^2;
             # p -= lr (m / c1) / (sqrt(v / c2) + eps), each in textbook order
             scratch = np.empty_like(p.data)  # p's dtype: v / c2 never narrows
-            np.multiply(g, 1.0 - self.beta1, out=scratch)
-            m *= self.beta1
+            np.multiply(g, 1.0 - BETA1, out=scratch)
+            m *= BETA1
             m += scratch
             np.multiply(g, g, out=scratch)
-            scratch *= 1.0 - self.beta2
-            v *= self.beta2
+            scratch *= 1.0 - BETA2
+            v *= BETA2
             v += scratch
             np.divide(v, c2, out=scratch)
             np.sqrt(scratch, out=scratch)
-            scratch += self.eps
+            scratch += EPS
             step = m / c1
             step *= self.lr
             step /= scratch

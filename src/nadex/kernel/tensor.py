@@ -65,14 +65,9 @@ class Tape:
         """Release every recorded node (and the closures holding inputs)."""
         self._nodes.clear()
 
-    @contextmanager
     def active(self):
-        prev = getattr(_STATE, "tape", None)
-        _STATE.tape = self
-        try:
-            yield self
-        finally:
-            _STATE.tape = prev
+        """Record onto this tape on this thread for the duration of the block."""
+        return _recording(self)
 
 
 def active_tape():
@@ -80,14 +75,19 @@ def active_tape():
 
 
 @contextmanager
-def no_grad():
-    """Disable recording on this thread for the duration of the block."""
-    prev = getattr(_STATE, "tape", None)
-    _STATE.tape = None
+def _recording(tape):
+    """Make ``tape`` (None: no tape) this thread's tape, then restore."""
+    prev = active_tape()
+    _STATE.tape = tape
     try:
-        yield
+        yield tape
     finally:
         _STATE.tape = prev
+
+
+def no_grad():
+    """Disable recording on this thread for the duration of the block."""
+    return _recording(None)
 
 
 class Tensor:

@@ -36,15 +36,13 @@ def negative_prototypes(target_embeddings):
             prototypes=T.constant(np.zeros_like(e.data)), valid=False
         )
 
-    # Row i sums every row with row i zeroed, in row order: the same
-    # additions as an explicit zero-diagonal construction, so the result is
-    # bitwise equal to it and row i never reaches prototype i.
-    keep = np.ones((n, 1), dtype=e.data.dtype)
-    sums = np.empty_like(e.data)
-    for i in range(n):
-        keep[i] = 0.0
-        sums[i] = (e.data * keep).sum(axis=0)
-        keep[i] = 1.0
+    # Row j is added to every prototype but its own, in place and in row
+    # order, so prototype i is the row-order sum of the other rows at any
+    # width, and row i never reaches it.
+    sums = np.zeros_like(e.data)
+    for j, row in enumerate(e.data):
+        sums[:j] += row
+        sums[j + 1:] += row
     out = T.Tensor(sums / (n - 1))
 
     def bwd(g):

@@ -76,6 +76,23 @@ def test_self_exclusion_bitwise():
         assert not np.array_equal(out[others], base[others])
 
 
+def test_sums_add_the_other_rows_in_row_order_bitwise():
+    # a one-wide column included: a reduction along it would sum pairwise
+    rng = np.random.default_rng(6)
+    n = 33
+    for h in (1, 6):
+        e = rng.normal(size=(n, h)).astype(np.float32)
+        ref = np.empty_like(e)
+        for i in range(n):
+            acc = np.zeros(h, dtype=np.float32)
+            for j in range(n):
+                if j != i:
+                    acc = acc + e[j]
+            ref[i] = acc / np.float32(n - 1)
+        out = negative_prototypes(K.Tensor(e)).prototypes.data
+        assert out.dtype == np.float32 and np.array_equal(out, ref)
+
+
 def test_mean_identity():
     rng = np.random.default_rng(2)
     for n in (2, 3, 5, 8):
