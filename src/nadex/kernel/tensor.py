@@ -298,17 +298,16 @@ def matmul(a, b):
 # elementwise and reductions
 
 
-def sigmoid(x):
-    d = x.data
-    out_data = np.empty_like(d)
-    pos = d >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    out_data[~pos] = ez / (1.0 + ez)
-    out = Tensor(out_data)
+def log_sigmoid(x):
+    """log(sigmoid(x)) as ``-logaddexp(0, -x)``, finite for every finite x
+    in float32 and float64; NaN propagates without a warning."""
+    with np.errstate(invalid="ignore"):
+        y = -np.logaddexp(0.0, -x.data)
+    out = Tensor(y)
 
     def bwd(g):
-        x.accumulate_grad(g * out_data * (1.0 - out_data))
+        with np.errstate(invalid="ignore"):  # exp(y - x) is sigmoid(-x)
+            x.accumulate_grad(g * np.exp(y - x.data))
 
     return record_op(out, (x,), bwd)
 

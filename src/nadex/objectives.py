@@ -71,11 +71,12 @@ def negative_cosine_loss(clean_neg, denoised_neg):
 
 def combined_loss(l_r, l_neg, config):
     """Composite objective; lam == 1 returns the reconstruction node itself
-    so the collapse is bitwise."""
+    so the collapse is bitwise. ``T.log_sigmoid`` keeps the push term and
+    its gradient finite in float32 at any gamma."""
     if config.lam == 1.0:
         return l_r
     margin = T.add_scalar(T.scale(T.sub(l_r, l_neg), -config.gamma), EPS_NUM)
-    push = T.scale(T.log(T.sigmoid(margin)), -(1.0 - config.lam))
+    push = T.scale(T.log_sigmoid(margin), -(1.0 - config.lam))
     return T.add(push, T.scale(l_r, config.lam))
 
 

@@ -69,9 +69,9 @@ def _case_matmul_flat(rng, left_grad, weight_grad):
     return tensors, lambda: K.sum(K.mul(K.matmul(a, b), K.constant(w)))
 
 
-def _case_sigmoid(rng):
+def _case_log_sigmoid(rng):
     a = _p(rng, (6,))
-    return {"a": a}, lambda: K.sum(K.sigmoid(a))
+    return {"a": a}, lambda: K.sum(K.log_sigmoid(a))
 
 
 def _case_log(rng):
@@ -144,8 +144,7 @@ def _case_embedding_gather(rng):
 def _case_gather_rows_at(rng):
     a = _p(rng, (4, 6))
     cols = np.array([5, 0, 3, 3])
-    return {"a": a}, lambda: K.sum(K.log(K.add_scalar(
-        K.sigmoid(K.gather_rows_at(a, cols)), 1e-8)))
+    return {"a": a}, lambda: K.sum(K.log_sigmoid(K.gather_rows_at(a, cols)))
 
 
 def _case_structural(rng):
@@ -181,7 +180,7 @@ OP_CASES = [
     ("matmul_flat_both", lambda rng: _case_matmul_flat(rng, True, True)),
     ("matmul_flat_weight_only", lambda rng: _case_matmul_flat(rng, False, True)),
     ("matmul_flat_left_only", lambda rng: _case_matmul_flat(rng, True, False)),
-    ("sigmoid", _case_sigmoid),
+    ("log_sigmoid", _case_log_sigmoid),
     ("log", _case_log),
     ("relu", _case_relu),
     ("mean_sum", _case_mean_sum),

@@ -137,6 +137,42 @@ def test_lambda_zero_balanced_losses_give_ln2():
     assert out.item() == pytest.approx(np.log(2.0), abs=1e-7)
 
 
+@pytest.mark.parametrize("gamma", [14.0, 20.0, 200.0])
+def test_float32_composite_stays_finite_at_large_gamma(gamma):
+    # a first paper-width step reads L_r ~7.6: log(sigmoid(margin)) as two
+    # ops overflowed the gradient at gamma 14 and hit log(0) at gamma 20
+    lam = 0.5
+    l_r = K.Tensor(np.array(7.6, dtype=np.float32), requires_grad=True)
+    l_neg = K.Tensor(np.array(1.0, dtype=np.float32), requires_grad=True)
+    with K.Tape().active():
+        total = combined_loss(l_r, l_neg, LossConfig(lam=lam, gamma=gamma))
+        K.backward(total)
+    margin = -gamma * (l_r.item() - l_neg.item()) + 1e-8
+    push = 1.0 / (1.0 + np.exp(margin))  # sigmoid(-margin), ~1 here
+    assert total.data.dtype == l_r.grad.dtype == l_neg.grad.dtype == np.float32
+    assert total.item() == pytest.approx(
+        (1.0 - lam) * np.logaddexp(0.0, -margin) + lam * l_r.item(),
+        rel=1e-6)
+    assert l_r.grad.item() == pytest.approx((1.0 - lam) * gamma * push + lam,
+                                            rel=1e-6)
+    assert l_neg.grad.item() == pytest.approx(-(1.0 - lam) * gamma * push,
+                                              rel=1e-6)
+
+
+def test_train_step_at_large_gamma_has_finite_losses():
+    # 200 entities put L_r near ln 200, so the margin sits near -130
+    cfg, vocab, params, sched = tiny_model(num_entities=200)
+    rng = np.random.default_rng(3)
+    opt = optim.Adam(params.tensors, lr=1e-3)
+    loss_cfg = LossConfig(lam=0.5, gamma=30.0)
+    for _ in range(3):
+        batch = random_batch(rng, 16, cfg.window, vocab.num_entities,
+                             vocab.num_relations, cfg.dt_max)
+        out = train_step(batch, params, sched, opt, loss_cfg, rng)
+        assert out.neg_applied and out.l_r - out.l_neg > 3.0
+        assert np.all(np.isfinite((out.l_r, out.l_neg, out.l_total)))
+
+
 def test_combined_interpolates_between_branches():
     l_r, l_neg = T(0.8), T(0.3)
     push = combined_loss(l_r, l_neg, LossConfig(lam=0.0, gamma=1.0)).item()

@@ -1,5 +1,7 @@
 """Forward semantics of the tensor kernel: fixed oracles and properties."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -126,15 +128,37 @@ def test_softmax_rejects_nonpositive_temperature():
 # elementwise suite
 
 
-def test_sigmoid_zero():
-    assert K.sigmoid(t(0.0)).data == 0.5
+def test_log_sigmoid_zero():
+    assert K.log_sigmoid(t(0.0)).data == -np.log(2.0)
 
 
-def test_sigmoid_extremes_stay_finite():
-    y = K.sigmoid(t([-1e3, 1e3])).data
-    assert np.all(np.isfinite(y))
-    assert 0.0 <= y[0] < 1e-12
-    assert 1.0 - 1e-12 < y[1] <= 1.0
+def test_log_sigmoid_extremes_stay_finite():
+    y = K.log_sigmoid(t([-1e3, 1e3])).data
+    assert y[0] == -1e3
+    assert abs(y[1]) <= 1e-12
+
+
+def test_log_sigmoid_float32_backward_at_large_magnitude():
+    # the gradient is sigmoid(-x): 1 at -200, and 0 (its float32 rounding
+    # of ~1e-87) at +200
+    x = K.Tensor(np.array([-200.0, 200.0], dtype=np.float32), requires_grad=True)
+    with K.Tape().active():
+        y = K.log_sigmoid(x)
+        K.backward(K.sum(y))
+    assert y.data.dtype == x.grad.dtype == np.float32
+    assert y.data[0] == -200.0 and y.data[1] == 0.0
+    assert np.array_equal(x.grad, [1.0, 0.0])
+
+
+def test_log_sigmoid_propagates_nan_silently():
+    x = t([np.nan, 1.0], grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with K.Tape().active():
+            y = K.log_sigmoid(x)
+            K.backward(K.sum(y))
+    assert np.isnan(y.data[0]) and np.isfinite(y.data[1])
+    assert np.isnan(x.grad[0]) and np.isfinite(x.grad[1])
 
 
 def test_l2_normalize_345_triangle():
@@ -409,7 +433,7 @@ def test_duplicate_use_accumulates():
 _SINGLE_PARENT_OPS = {
     "scale": lambda x: K.scale(x, 2.0),
     "add_scalar": lambda x: K.add_scalar(x, 1.0),
-    "sigmoid": K.sigmoid,
+    "log_sigmoid": K.log_sigmoid,
     "log": K.log,
     "relu": K.relu,
     "sum": lambda x: K.sum(x, axis=0),
@@ -492,7 +516,7 @@ def test_forward_determinism_fixed_seed():
         rng = np.random.default_rng(42)
         x = t(rng.normal(size=(4, 8)))
         y = K.softmax(K.matmul(x, K.transpose(x, (1, 0))))
-        return K.sum(K.sigmoid(y)).data.copy()
+        return K.sum(K.log_sigmoid(y)).data.copy()
 
     assert np.array_equal(run(), run())
 
