@@ -3,11 +3,10 @@
 Layout (all integers little-endian, floats IEEE-754 binary64 little-endian):
 
     magic            4 bytes, b"NADX"
-    version          u32 (currently 1)
+    version          u32 (currently 2)
     config_len       u32, then that many bytes of UTF-8 config text
     num_entities     u32
     num_rel_base     u32
-    max_time         u32
     epoch            u32
     adam_steps       u32
     best_valid_mrr   f64
@@ -30,7 +29,7 @@ from .data import Vocabulary
 from .errors import CheckpointFormatError, CheckpointVersionError
 
 MAGIC = b"NADX"
-VERSION = 1
+VERSION = 2
 
 
 def _write_tensor(fh, name, arr):
@@ -50,16 +49,10 @@ def save(path, params, optimizer, config_text, vocab, epoch, best_valid_mrr, rng
     rng_blob = json.dumps(rng.bit_generator.state).encode("utf-8")
     config_blob = config_text.encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(config_blob)))
+        fh.write(MAGIC + struct.pack("<II", VERSION, len(config_blob)))
         fh.write(config_blob)
-        fh.write(struct.pack("<III", vocab.num_entities,
-                             vocab.num_relations_base, vocab.max_time))
-        fh.write(struct.pack("<I", epoch))
-        fh.write(struct.pack("<I", optimizer.step_count))
-        fh.write(struct.pack("<d", best_valid_mrr))
-        fh.write(struct.pack("<I", len(rng_blob)))
+        fh.write(struct.pack("<IIIIdI", vocab.num_entities, vocab.num_relations_base,
+                             epoch, optimizer.step_count, best_valid_mrr, len(rng_blob)))
         fh.write(rng_blob)
         fh.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays.items():
@@ -106,18 +99,13 @@ def load(path):
     r = _Reader(blob)
     if r.take(4) != MAGIC:
         raise CheckpointFormatError(f"{path}: bad magic, not a checkpoint")
-    (version,) = r.unpack("<I")
+    version, config_len = r.unpack("<II")
     if version != VERSION:
-        raise CheckpointVersionError(
-            f"{path}: format version {version}, this build reads {VERSION}"
-        )
-    (config_len,) = r.unpack("<I")
+        raise CheckpointVersionError(f"{path}: format version {version}, "
+                                     f"this build reads {VERSION}")
     config_text = r.text(config_len, "config")
-    num_entities, num_rel_base, max_time = r.unpack("<III")
-    (epoch,) = r.unpack("<I")
-    (adam_steps,) = r.unpack("<I")
-    (best_valid_mrr,) = r.unpack("<d")
-    (rng_len,) = r.unpack("<I")
+    (num_entities, num_rel_base, epoch, adam_steps, best_valid_mrr,
+     rng_len) = r.unpack("<IIIIdI")
     try:
         rng_state = json.loads(r.text(rng_len, "rng state"))
     except (json.JSONDecodeError, RecursionError) as err:
@@ -132,7 +120,7 @@ def load(path):
         raise CheckpointFormatError(f"{path}: {len(blob) - r.off} trailing bytes")
     return {
         "config_text": config_text,
-        "vocab": Vocabulary(num_entities, num_rel_base, max_time),
+        "vocab": Vocabulary(num_entities, num_rel_base),
         "epoch": epoch,
         "adam_steps": adam_steps,
         "best_valid_mrr": best_valid_mrr,

@@ -35,7 +35,7 @@ from .errors import (
     UnknownIdError,
     ValidationError,
 )
-from .evaluation import build_filter_index, evaluate, training_triples
+from .evaluation import build_filter_index, check_finite, evaluate, training_triples
 from .kernel import Adam
 from .kernel import tensor as T
 from .objectives import train_epoch
@@ -137,15 +137,14 @@ def cmd_train(args):
     for epoch in range(1, cfg.epochs + 1):
         summary = train_epoch(batches, params, schedule, optimizer, loss_cfg, rng)
         print(summary.tsv(epoch), flush=True)
-        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-            report = _eval_split(cfg, per_split["valid"], params, schedule, filter_index)
-            print(f"valid\t{epoch}\t{report.mrr:.6f}\t{report.hits1:.6f}"
-                  f"\t{report.hits3:.6f}\t{report.hits10:.6f}", flush=True)
-            if report.mrr > best_mrr:
-                best_mrr = report.mrr
-                best_epoch = epoch
-                ckpt.save(cfg.checkpoint, params, optimizer, cfg.to_text(),
-                          vocab, epoch, best_mrr, rng)
+        report = _eval_split(cfg, per_split["valid"], params, schedule, filter_index)
+        print(f"valid\t{epoch}\t{report.mrr:.6f}\t{report.hits1:.6f}"
+              f"\t{report.hits3:.6f}\t{report.hits10:.6f}", flush=True)
+        if report.mrr > best_mrr:
+            best_mrr = report.mrr
+            best_epoch = epoch
+            ckpt.save(cfg.checkpoint, params, optimizer, cfg.to_text(),
+                      vocab, epoch, best_mrr, rng)
     print(f"best\t{best_epoch}\t{best_mrr:.6f}\t{cfg.checkpoint}")
     return 0
 
@@ -210,6 +209,7 @@ def cmd_predict(args):
         seq = make_inference_input(hist, noise, rel, dt)
         est = denoise(params, seq, schedule.m_steps, key_mask)
         probs = score_entities(est, params.scoring_table(), cfg.tau).data[0]
+    check_finite(probs[None], [query])
     order = np.argsort(-probs, kind="stable")[:args.top_k]
     label_path = os.path.join(cfg.data_dir, "entity2id.txt")
     labels = read_id_labels(label_path) if os.path.isfile(label_path) else {}

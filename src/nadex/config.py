@@ -8,6 +8,7 @@ round-trips through the checkpoint as text.
 """
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -43,7 +44,6 @@ class RunConfig:
     b_max: int = 512
     seed: int = 0
     checkpoint: str = "nadex.ckpt"
-    eval_every: int = 1
     eval_k: int = 1
     workers: int = 0
 
@@ -75,8 +75,6 @@ class RunConfig:
             raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
         if self.b_max < 2:
             raise ConfigurationError(f"b_max must be >= 2, got {self.b_max}")
-        if self.eval_every < 1:
-            raise ConfigurationError(f"eval_every must be >= 1, got {self.eval_every}")
         if self.eval_k < 1:
             raise ConfigurationError(f"eval_k must be >= 1, got {self.eval_k}")
         if self.workers < 0:
@@ -96,25 +94,29 @@ class RunConfig:
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
-def _coerce(field, raw, where):
+def _coerce(key, field, raw, where):
+    """``raw`` as the field's type; values ``to_text`` cannot write back
+    (non-finite floats, strings with '#' or a line break) are rejected."""
     raw = raw.strip()
+    kind = type(field.default)
     try:
-        if isinstance(field.default, int):
-            return int(raw)
-        if isinstance(field.default, float):
-            return float(raw)
+        value = kind(raw)
     except ValueError:
         raise ConfigurationError(
-            f"{where}: cannot parse {raw!r} as {type(field.default).__name__}"
-        ) from None
-    return raw
+            f"{where}: cannot parse {raw!r} as {kind.__name__}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigurationError(f"{where}: {key} must be finite, got {raw!r}")
+    if kind is str and ("#" in value or len(value.splitlines()) > 1):
+        raise ConfigurationError(
+            f"{where}: {key} must not hold '#' or a line break, got {raw!r}")
+    return value
 
 
 def _assign(cfg, key, raw, where):
     name = _KEY_ALIASES.get(key, key)
     if name not in _FIELDS:
         raise ConfigurationError(f"{where}: unknown config key {key!r}")
-    setattr(cfg, name, _coerce(_FIELDS[name], raw, where))
+    setattr(cfg, name, _coerce(key, _FIELDS[name], raw, where))
 
 
 def parse_config_text(text, cfg=None, source="config"):

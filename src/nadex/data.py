@@ -32,7 +32,6 @@ class Quadruple(NamedTuple):
 class Vocabulary:
     num_entities: int
     num_relations_base: int
-    max_time: int
 
     @property
     def num_relations(self):
@@ -122,34 +121,24 @@ def write_quadruples(path, quads, time_granularity):
             fh.write(f"{q.s}\t{q.r}\t{q.o}\t{q.t * time_granularity}\n")
 
 
+def _fact_array(*splits):
+    """The splits' quadruples, in order, as ``[N, 4]`` int64 (s, r, o, t) rows."""
+    count = 4 * sum(len(split) for split in splits)
+    return np.fromiter(chain.from_iterable(chain.from_iterable(splits)),
+                       dtype=np.int64, count=count).reshape(-1, 4)
+
+
 def build_vocabulary(*splits):
     """Size entity/relation spaces from the union of all supplied splits.
 
     Counts are max id + 1, so ids are assumed dense from 0. Call on
     UN-augmented quadruples.
     """
-    max_e = -1
-    max_r = -1
-    max_t = 0
-    total = 0
-    for split in splits:
-        for q in split:
-            if q.s > max_e:
-                max_e = q.s
-            if q.o > max_e:
-                max_e = q.o
-            if q.r > max_r:
-                max_r = q.r
-            if q.t > max_t:
-                max_t = q.t
-            total += 1
-    if total == 0:
+    facts = _fact_array(*splits)
+    if not len(facts):
         raise ValidationError("cannot build a vocabulary from empty splits")
-    return Vocabulary(
-        num_entities=max_e + 1,
-        num_relations_base=max_r + 1,
-        max_time=max_t,
-    )
+    return Vocabulary(num_entities=int(facts[:, [0, 2]].max()) + 1,
+                      num_relations_base=int(facts[:, 1].max()) + 1)
 
 
 def read_id_labels(path):
@@ -203,8 +192,7 @@ def build_histories(quads, window, dt_max):
         raise ConfigurationError(f"history window must be positive, got {window}")
     if dt_max <= 0:
         raise ConfigurationError(f"dt_max must be positive, got {dt_max}")
-    facts = np.fromiter(chain.from_iterable(quads), dtype=np.int64,
-                        count=4 * len(quads)).reshape(-1, 4)
+    facts = _fact_array(quads)
     if np.any(facts[1:, 3] < facts[:-1, 3]):
         raise ValidationError("quadruples must be sorted by timestamp")
 

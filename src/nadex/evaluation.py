@@ -15,7 +15,7 @@ import numpy as np
 from .data import stack_samples
 from .denoiser import denoise, embed_batch
 from .diffusion import make_inference_input
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 from .kernel import tensor as T
 
 
@@ -46,6 +46,15 @@ def filtered_rank(scores, gold, filter_set):
         live[e] = False
     live[gold] = False
     return 1 + int(np.count_nonzero(live & (scores >= scores[gold])))
+
+
+def check_finite(scores, queries):
+    """Raise NumericsError for the first query whose scores row is not finite."""
+    finite = np.isfinite(scores).all(axis=1)
+    if not finite.all():
+        q = queries[int(np.argmin(finite))]
+        raise NumericsError(
+            f"non-finite scores for query s={q.s} r={q.r} t={q.t}")
 
 
 @dataclass(frozen=True)
@@ -150,6 +159,7 @@ def evaluate(samples, params, schedule, filter_index, tau, seed, k_repeats=1,
     ranks = np.empty(len(samples), dtype=np.int64)
     pos = 0
     for (chunk, _), scores in zip(chunks, scored):
+        check_finite(scores, samples[pos : pos + chunk.size])
         for row in range(chunk.size):
             q = samples[pos]
             filt = filter_index.get((q.s, q.r, q.t), ())

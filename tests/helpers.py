@@ -76,8 +76,7 @@ def tiny_model(hidden=16, layers=1, heads=2, window=3, dt_max=8, m_steps=4,
                                   dropout=dropout, window=window,
                                   dt_max=dt_max, m_steps=m_steps)
     vocab = data.Vocabulary(num_entities=num_entities,
-                            num_relations_base=num_relations_base,
-                            max_time=100)
+                            num_relations_base=num_relations_base)
     params = denoiser.init_params(cfg, vocab, seed=seed)
     sched = diffusion.build_schedule(m_steps=m_steps, delta=1.0,
                                      alpha_min=0.01, alpha_max=0.99)

@@ -40,7 +40,6 @@ def test_roundtrip_is_bitwise(tmp_path):
     assert loaded["adam_steps"] == opt.step_count
     assert loaded["vocab"].num_entities == vocab.num_entities
     assert loaded["vocab"].num_relations_base == vocab.num_relations_base
-    assert loaded["vocab"].max_time == vocab.max_time
 
     for name, t in params.tensors.items():
         assert np.array_equal(loaded["arrays"][name], t.data)
@@ -110,8 +109,8 @@ def test_saved_bytes_follow_documented_layout(tmp_path):
     config_blob = text.encode("utf-8")
     ref = [b"NADX", struct.pack("<II", checkpoint.VERSION, len(config_blob)),
            config_blob,
-           struct.pack("<IIIII", vocab.num_entities, vocab.num_relations_base,
-                       vocab.max_time, 7, opt.step_count),
+           struct.pack("<IIII", vocab.num_entities, vocab.num_relations_base,
+                       7, opt.step_count),
            struct.pack("<dI", 0.625, len(rng_blob)), rng_blob,
            struct.pack("<I", len(arrays))]
     for name, arr in arrays.items():
@@ -169,7 +168,7 @@ def _corrupt(blob, kind):
     """Damage one field of a checkpoint image in place, finding it through
     the layout in the checkpoint module docstring."""
     (config_len,) = struct.unpack_from("<I", blob, 8)
-    rng_at = 12 + config_len + 3 * 4 + 4 + 4 + 8 + 4
+    rng_at = 12 + config_len + 2 * 4 + 4 + 4 + 8 + 4
     (rng_len,) = struct.unpack_from("<I", blob, rng_at - 4)
     name_len_at = rng_at + rng_len + 4
     (name_len,) = struct.unpack_from("<H", blob, name_len_at)

@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from nadex import checkpoint, cli, errors, synthetic
+from nadex.config import parse_config_text
+from nadex.denoiser import init_params
+from nadex.kernel import Adam
 
 
 def run_cli(argv):
@@ -151,6 +154,31 @@ def test_train_rejects_empty_valid_split_before_first_epoch(workspace, tmp_path)
     assert not (tmp_path / "model.ckpt").exists()
 
 
+def test_train_validates_after_every_epoch(workspace):
+    lines = workspace.train_out.strip().splitlines()
+    epochs = [l.split("\t")[0] for l in lines if l[:1].isdigit()]
+    valid = [l.split("\t")[1] for l in lines if l.startswith("valid\t")]
+    assert valid == epochs == ["1", "2", "3"]
+    assert "eval_every" not in checkpoint.load(workspace.ckpt)["config_text"]
+
+
+def test_timestamps_past_u32_train_and_eval(workspace, tmp_path):
+    # checkpoints store no timestamp, so ordinals need not fit in a u32
+    quads = [q._replace(t=q.t + 2**32) for q in synthetic.cyclic_tkg(5, 2, 60)]
+    synthetic.write_splits(tmp_path, quads)
+    ckpt_path = tmp_path / "model.ckpt"
+    code, out, err = run_cli([
+        "train", "--config", str(workspace.cfg), "--set", "epochs=1",
+        "--set", f"data_dir={tmp_path}", "--set", f"checkpoint={ckpt_path}"])
+    assert code == 0, err
+    out_path = tmp_path / "report.tsv"
+    code, out, err = run_cli(["eval", "--checkpoint", str(ckpt_path),
+                              "--split", "valid", "--out", str(out_path)])
+    assert code == 0, err
+    mrr = out_path.read_text().splitlines()[0].split("\t")[1]
+    assert float(mrr) == checkpoint.load(ckpt_path)["best_valid_mrr"]
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -237,6 +265,46 @@ def test_eval_version_mismatch_is_exit_3(workspace, tmp_path):
                               "--split", "valid"])
     assert code == 3
     assert "error: CheckpointVersionError:" in err
+
+
+def test_eval_format_1_checkpoint_is_exit_3(workspace, tmp_path):
+    # format 1 held a u32 max_time after the relation count
+    blob = workspace.ckpt.read_bytes()
+    (config_len,) = struct.unpack_from("<I", blob, 8)
+    at = 12 + config_len + 8
+    old = tmp_path / "v1.ckpt"
+    old.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:at]
+                    + struct.pack("<I", 59) + blob[at:])
+    code, out, err = run_cli(["eval", "--checkpoint", str(old),
+                              "--split", "valid"])
+    assert code == 3
+    assert err.startswith("error: CheckpointVersionError:")
+    assert "version 1" in err
+
+
+@pytest.fixture(scope="module")
+def nan_checkpoint(workspace, tmp_path_factory):
+    """The workspace checkpoint with one entity_table row set to NaN."""
+    loaded = checkpoint.load(workspace.ckpt)
+    cfg = parse_config_text(loaded["config_text"])
+    params = init_params(cfg.denoiser_config(), loaded["vocab"], seed=0)
+    checkpoint.restore_params(loaded, params)
+    params["entity_table"].data[2] = np.nan
+    path = tmp_path_factory.mktemp("nan") / "nan.ckpt"
+    checkpoint.save(path, params, Adam(params.tensors), loaded["config_text"],
+                    loaded["vocab"], 1, 0.0, checkpoint.restore_rng(loaded))
+    return path
+
+
+@pytest.mark.parametrize("argv", [["eval", "--split", "valid"],
+                                  ["predict", "--subject", "0",
+                                   "--relation", "0", "--time", "60"]],
+                         ids=["eval", "predict"])
+def test_non_finite_scores_are_exit_1(nan_checkpoint, argv):
+    code, out, err = run_cli([*argv, "--checkpoint", str(nan_checkpoint)])
+    assert code == 1
+    assert err.startswith("error: NumericsError: non-finite scores for query")
+    assert out == ""
 
 
 def test_eval_corrupt_checkpoint_is_exit_2(workspace, tmp_path):
@@ -484,6 +552,13 @@ def test_inspect_schedule_invalid_params_exit_2():
     code, out, err = run_cli(["inspect-schedule", "--set", "delta=2.0"])
     assert code == 2
     assert "ConfigurationError" in err
+
+
+def test_inspect_schedule_non_finite_delta_exit_2():
+    code, out, err = run_cli(["inspect-schedule", "--set", "delta=nan"])
+    assert code == 2
+    assert err.startswith("error: ConfigurationError:") and "delta" in err
+    assert out == ""
 
 
 # ---------------------------------------------------------------------------

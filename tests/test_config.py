@@ -1,6 +1,10 @@
 """Run-configuration parsing, precedence, and validation."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from nadex.config import RunConfig, finalize, load_config, parse_config_text
 from nadex.errors import ConfigurationError
@@ -40,7 +44,7 @@ def test_unknown_key_rejected_with_location():
     assert "line 2" in msg and "hiden" in msg
     # keys of removed variants and knobs, which older checkpoints still echo
     for key in ("refine_steps", "untied_scoring", "mask_duplicate_golds",
-                "ffn_hidden", "eval_chunk"):
+                "ffn_hidden", "eval_chunk", "eval_every"):
         with pytest.raises(ConfigurationError) as exc:
             parse_config_text(f"hidden = 64\n{key} = 0\n")
         msg = str(exc.value)
@@ -53,14 +57,51 @@ def test_missing_equals_rejected():
     assert "key = value" in str(exc.value)
 
 
+NON_FINITE = ["lr=nan", "lr=inf", "gamma=nan", "gamma=inf", "tau=nan",
+              "tau=inf", "delta=nan", "lambda=-inf"]
+
+
 @pytest.mark.parametrize("line,fragment", [
     ("hidden = twelve", "twelve"),
     ("lr = fast", "fast"),
+    *((kv.replace("=", " = "), kv.split("=")[0]) for kv in NON_FINITE),
 ])
 def test_bad_coercions_name_the_value(line, fragment):
     with pytest.raises(ConfigurationError) as exc:
         parse_config_text(line)
     assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("kv", NON_FINITE)
+def test_non_finite_override_rejected(kv):
+    with pytest.raises(ConfigurationError) as exc:
+        load_config(None, [kv])
+    assert "finite" in str(exc.value)
+
+
+@pytest.mark.parametrize("kv", ["data_dir=/tmp/run#1", "checkpoint=a\nb.ckpt",
+                                "data_dir=a\u2028b"])
+def test_strings_the_stored_config_cannot_hold_rejected(kv):
+    with pytest.raises(ConfigurationError) as exc:
+        finalize(RunConfig(), [kv])
+    assert kv.split("=")[0] in str(exc.value)
+
+
+_KEYS = {"lam": "lambda"}
+_VALUES = {int: st.integers(-2, 300), float: st.floats(), str: st.text()}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_valid_settings_survive_the_stored_config(data):
+    # eval and predict rebuild the run from the checkpoint's config text
+    field = data.draw(st.sampled_from(dataclasses.fields(RunConfig)))
+    value = data.draw(_VALUES[type(field.default)])
+    try:
+        cfg = finalize(RunConfig(), [f"{_KEYS.get(field.name, field.name)}={value}"])
+    except ConfigurationError:
+        reject()
+    assert parse_config_text(cfg.to_text()) == cfg
 
 
 def test_override_beats_file(tmp_path):
@@ -112,6 +153,10 @@ def test_validation_failures(text, fragment):
     with pytest.raises(ConfigurationError) as exc:
         finalize(cfg)
     assert fragment in str(exc.value)
+
+
+def test_run_config_has_22_keys():
+    assert len(dataclasses.fields(RunConfig)) == 22
 
 
 def test_sub_config_builders():

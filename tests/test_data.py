@@ -84,7 +84,6 @@ def test_vocabulary_from_union_of_splits():
     assert vocab.num_entities == 6
     assert vocab.num_relations_base == 3
     assert vocab.num_relations == 6
-    assert vocab.max_time == 4
 
 
 def test_vocabulary_requires_some_facts():
@@ -93,19 +92,18 @@ def test_vocabulary_requires_some_facts():
 
 
 def test_augment_adds_inverse_with_offset_230():
-    vocab = data.Vocabulary(num_entities=11, num_relations_base=230,
-                            max_time=1)
+    vocab = data.Vocabulary(num_entities=11, num_relations_base=230)
     out = data.augment_inverse([data.Quadruple(5, 3, 10, 1)], vocab)
     assert out == [data.Quadruple(5, 3, 10, 1), data.Quadruple(10, 233, 5, 1)]
 
 
 def test_augment_empty_is_empty():
-    vocab = data.Vocabulary(num_entities=2, num_relations_base=1, max_time=0)
+    vocab = data.Vocabulary(num_entities=2, num_relations_base=1)
     assert data.augment_inverse([], vocab) == []
 
 
 def test_augment_twice_rejected():
-    vocab = data.Vocabulary(num_entities=11, num_relations_base=4, max_time=1)
+    vocab = data.Vocabulary(num_entities=11, num_relations_base=4)
     once = data.augment_inverse([data.Quadruple(5, 3, 10, 1)], vocab)
     with pytest.raises(ValidationError):
         data.augment_inverse(once, vocab)
@@ -282,6 +280,22 @@ def test_histories_match_oracle_on_generated_streams(quads, window, dt_max):
         assert smp.hist_relations.tolist() == [0] * pad + r_ref
         assert smp.hist_dt.tolist() == [0] * pad + dt_ref
         assert smp.mask.tolist() == [False] * pad + [True] * len(o_ref)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(splits=st.lists(sorted_streams(), max_size=3))
+@example(splits=[_q([(2**40, 3, 7, 2**33)]), _q([(1, 2**35, 2**41, 0)])])
+def test_vocabulary_matches_loop_reference(splits):
+    facts = [q for split in splits for q in split]
+    if not facts:
+        with pytest.raises(ValidationError):
+            data.build_vocabulary(*splits)
+        return
+    vocab = data.build_vocabulary(*splits)
+    assert vocab.num_entities == max(max(q.s, q.o) for q in facts) + 1
+    assert vocab.num_relations_base == max(q.r for q in facts) + 1
+    assert all(type(v) is int for v in (vocab.num_entities,
+                                        vocab.num_relations_base))
 
 
 def test_no_leakage_property():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nadex import data, evaluation
-from nadex.errors import ValidationError
+from nadex.errors import NumericsError, ValidationError
 from nadex.evaluation import (MetricReport, build_filter_index,
                               evaluate, filtered_rank, training_triples)
 
@@ -222,6 +222,21 @@ def test_evaluate_argument_validation(trained_setup):
     with pytest.raises(ValidationError):
         evaluate(per_split["valid"], params, sched, idx, tau=0.5, seed=0,
                  chunk_size=0)
+
+
+def test_evaluate_rejects_non_finite_scores(trained_setup):
+    # filtered_rank would put the gold first against a NaN competitor
+    params, sched, per_split, aug, idx = trained_setup
+    table = params["entity_table"].data
+    saved = table[3].copy()
+    table[3] = np.nan
+    try:
+        with pytest.raises(NumericsError) as exc:
+            evaluate(per_split["valid"], params, sched, idx, tau=0.5, seed=0)
+    finally:
+        table[3] = saved
+    q = per_split["valid"][0]
+    assert f"s={q.s} r={q.r} t={q.t}" in str(exc.value)
 
 
 def test_filtering_never_hurts_end_to_end(trained_setup):
