@@ -15,6 +15,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from .config import finalize, load_config, parse_config_text
 from .data import (
+    INT64_MAX,
     Quadruple,
     augment_inverse,
     batch_by_timestamp,
@@ -176,6 +177,8 @@ def cmd_eval(args):
 def cmd_predict(args):
     if args.top_k < 1:
         raise ValidationError(f"--top-k must be >= 1, got {args.top_k}")
+    if args.time > INT64_MAX:
+        raise ValidationError(f"--time must be < 2^63, got {args.time}")
     cfg, vocab, params = _load_checkpoint(args)
     if not 0 <= args.subject < vocab.num_entities:
         raise UnknownIdError(

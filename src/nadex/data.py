@@ -20,6 +20,8 @@ from .errors import (
     ValidationError,
 )
 
+INT64_MAX = 2**63 - 1  # ids and ordinals are stored as int64
+
 
 class Quadruple(NamedTuple):
     s: int
@@ -85,8 +87,8 @@ def _numbered_lines(path):
 def parse_quadruples(path, time_granularity):
     """Read one split file into a list of Quadruples.
 
-    Timestamps become raw_t // granularity. Blank lines are skipped;
-    anything else malformed raises with its 1-based line number.
+    Timestamps become raw_t // granularity. Blank lines are skipped; any
+    other malformed or out-of-int64 line raises with its 1-based number.
     """
     if time_granularity < 1:
         raise ConfigurationError(
@@ -107,10 +109,11 @@ def parse_quadruples(path, time_granularity):
         except ValueError:
             raise ParseError(f"{name} line {lineno}: non-integer field "
                              f"in {stripped!r}") from None
-        if s < 0 or r < 0 or o < 0 or raw_t < 0:
-            raise ValidationError(f"{name} line {lineno}: negative id or "
-                                  f"timestamp in {stripped!r}")
-        quads.append(Quadruple(s, r, o, raw_t // time_granularity))
+        t = raw_t // time_granularity  # negative exactly when raw_t is
+        if min(s, r, o, t) < 0 or max(s, r, o, t) > INT64_MAX:
+            raise ValidationError(f"{name} line {lineno}: id or timestamp "
+                                  f"outside [0, 2^63) in {stripped!r}")
+        quads.append(Quadruple(s, r, o, t))
     return quads
 
 

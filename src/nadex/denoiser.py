@@ -176,36 +176,37 @@ def denoise(params, input_seq, m, padding_mask, train_mode=False, rng=None):
     pos = T.embedding_gather(params["position_table"], np.arange(s))
     step = T.embedding_gather(params["step_table"], np.array([m - 1]))
     x = T.add(input_seq, T.reshape(pos, (1, s, h)))
-    x = T.add(x, T.reshape(step, (1, 1, h)))
+    # the residual stream runs as [N*S, h] rows: each weight is one 2-d GEMM
+    x = T.add(T.reshape(x, (n * s, h)), step)
 
     key_bias = np.where(padding_mask, 0.0, T.MASK_NEG).astype(input_seq.data.dtype)
     key_bias = T.constant(key_bias[:, None, None, :])
     for i in range(cfg.layers):
         pre = f"layer{i}"
         xn = T.layer_norm(x, params[f"{pre}.ln1.gain"], params[f"{pre}.ln1.bias"])
-        k = T.add(T.matmul(xn, params[f"{pre}.attn.wk"]), params[f"{pre}.attn.bk"])
-        v = T.add(T.matmul(xn, params[f"{pre}.attn.wv"]), params[f"{pre}.attn.bv"])
+        k = T.matmul(xn, params[f"{pre}.attn.wk"], params[f"{pre}.attn.bk"])
+        v = T.matmul(xn, params[f"{pre}.attn.wv"], params[f"{pre}.attn.bv"])
         k = _split_heads(k, n, s, heads, dh)
         v = _split_heads(v, n, s, heads, dh)
         if i == cfg.layers - 1:
             # only the target slot is read out, so from here on it alone
             # queries, carries the residual and feeds the FFN: [N, h]
-            xn, x = T.take(xn, s - 1, axis=1), T.take(x, s - 1, axis=1)
-        q = T.add(T.matmul(xn, params[f"{pre}.attn.wq"]), params[f"{pre}.attn.bq"])
+            last = slice(s - 1, None, s)
+            xn, x = T.take(xn, last, axis=0), T.take(x, last, axis=0)
+        q = T.matmul(xn, params[f"{pre}.attn.wq"], params[f"{pre}.attn.bq"])
         q = _split_heads(q, n, -1, heads, dh)  # s query rows, 1 in the last layer
         logits = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
         att = T.softmax(T.add(logits, key_bias), temperature=1.0, axis=-1)
         att = T.dropout(att, cfg.dropout, rng, train_mode)
         ctx = T.matmul(att, v)
         ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), x.shape)
-        ctx = T.add(T.matmul(ctx, params[f"{pre}.attn.wo"]), params[f"{pre}.attn.bo"])
+        ctx = T.matmul(ctx, params[f"{pre}.attn.wo"], params[f"{pre}.attn.bo"])
         ctx = T.dropout(ctx, cfg.dropout, rng, train_mode)
         x = T.add(x, ctx)
 
         xn = T.layer_norm(x, params[f"{pre}.ln2.gain"], params[f"{pre}.ln2.bias"])
-        inner = T.relu(T.add(T.matmul(xn, params[f"{pre}.ffn.w1"]),
-                             params[f"{pre}.ffn.b1"]))
-        ffn = T.add(T.matmul(inner, params[f"{pre}.ffn.w2"]), params[f"{pre}.ffn.b2"])
+        inner = T.relu(T.matmul(xn, params[f"{pre}.ffn.w1"], params[f"{pre}.ffn.b1"]))
+        ffn = T.matmul(inner, params[f"{pre}.ffn.w2"], params[f"{pre}.ffn.b2"])
         ffn = T.dropout(ffn, cfg.dropout, rng, train_mode)
         x = T.add(x, ffn)
 

@@ -162,7 +162,7 @@ def _unbroadcast(g, shape):
 
 
 def backward(loss):
-    """Replay the active tape in reverse from a scalar loss, then clear it.
+    """Replay the active tape in reverse from a scalar loss, popping it empty.
 
     Afterwards every requires_grad leaf reachable from ``loss`` holds
     dloss/dleaf in ``.grad`` (accumulated on top of any existing grad).
@@ -175,11 +175,11 @@ def backward(loss):
     if tape is None:
         raise ContractError("backward called with no active tape")
     loss.accumulate_grad(np.ones_like(loss.data))
-    for out, fn in reversed(tape._nodes):
+    while tape._nodes:  # a popped closure, and what it holds, is freed once run
+        out, fn = tape._nodes.pop()
         if out.grad is not None:
             fn(out.grad)
             out.grad = None
-    tape.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +253,10 @@ def cast(x, dtype):
     return record_op(out, (x,), bwd)
 
 
-def matmul(a, b):
-    """Matrix product over the trailing two axes, batch dims broadcasting.
-
-    A 2-d right operand (a weight) is applied as one GEMM over the left
-    operand's leading dims flattened into rows; its gradient is then a single
-    ``a2.T @ g2`` product instead of a stack of per-batch outer products.
-    """
+def matmul(a, b, bias=None, /):
+    """Matrix product over the trailing two axes, batch dims broadcasting,
+    plus ``bias`` added in place when given. A weight applied to ``[rows,
+    k]`` activations is one GEMM forward and one per operand backward."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeMismatchError(
             f"matmul needs >=2-d operands, got {a.shape} x {b.shape}"
@@ -268,20 +265,12 @@ def matmul(a, b):
         raise ShapeMismatchError(
             f"matmul inner extents differ: {a.shape} x {b.shape}"
         )
-    if b.ndim == 2:
-        a2 = a.data.reshape(-1, a.shape[-1])
-        out = Tensor((a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],)))
-
-        def bwd(g):
-            g2 = g.reshape(-1, b.shape[1])
-            if a.requires_grad:
-                a.accumulate_grad((g2 @ b.data.T).reshape(a.shape))
-            if b.requires_grad:
-                b.accumulate_grad(a2.T @ g2)
-
-        return record_op(out, (a, b), bwd)
-
-    out = Tensor(np.matmul(a.data, b.data))
+    y = np.matmul(a.data, b.data)
+    if bias is not None:
+        # widen first where bias outranks the product, as ``y + bias`` would
+        y = y.astype(np.result_type(y, bias.data), copy=False)
+        y += bias.data
+    out = Tensor(y)
 
     def bwd(g):
         if a.requires_grad:
@@ -290,8 +279,10 @@ def matmul(a, b):
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b.accumulate_grad(_unbroadcast(gb, b.shape))
+        if bias is not None and bias.requires_grad:
+            bias.accumulate_grad(_unbroadcast(g, bias.shape))
 
-    return record_op(out, (a, b), bwd)
+    return record_op(out, (a, b) if bias is None else (a, b, bias), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +521,9 @@ def concat(tensors, axis):
 
 
 def take(x, index, axis):
-    """Slice one position off ``axis`` (the axis is removed)."""
-    out = Tensor(np.take(x.data, index, axis=axis))
+    """Index ``axis`` with an int (the axis is removed) or a slice."""
     at = (slice(None),) * (axis % x.ndim) + (index,)
+    out = Tensor(x.data[at])
 
     def bwd(g):
         x.grad_buffer()[at] += g

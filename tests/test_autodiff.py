@@ -60,13 +60,23 @@ def _case_matmul_batched_both(rng):
 
 
 def _case_matmul_flat(rng, left_grad, weight_grad):
-    # 4-d activations times a 2-d weight: the flattened single-GEMM path
+    # 4-d activations times a 2-d weight, broadcast through the one path
     a = K.Tensor(rng.uniform(-2.0, 2.0, size=(2, 3, 4, 5)),
                  requires_grad=left_grad)
     b = K.Tensor(rng.uniform(-2.0, 2.0, size=(5, 2)), requires_grad=weight_grad)
     w = np.random.default_rng(985).normal(size=(2, 3, 4, 2))
     tensors = {k: v for k, v in (("a", a), ("b", b)) if v.requires_grad}
     return tensors, lambda: K.sum(K.mul(K.matmul(a, b), K.constant(w)))
+
+
+def _case_matmul_bias(rng, left_grad):
+    # [rows, k] activations times a weight, plus its bias inside the op
+    a = K.Tensor(rng.uniform(-2.0, 2.0, size=(5, 4)), requires_grad=left_grad)
+    b, bias = _p(rng, (4, 3)), _p(rng, (3,))
+    w = np.random.default_rng(984).normal(size=(5, 3))
+    tensors = {k: v for k, v in (("a", a), ("b", b), ("bias", bias))
+               if v.requires_grad}
+    return tensors, lambda: K.sum(K.mul(K.matmul(a, b, bias), K.constant(w)))
 
 
 def _case_log_sigmoid(rng):
@@ -180,6 +190,8 @@ OP_CASES = [
     ("matmul_flat_both", lambda rng: _case_matmul_flat(rng, True, True)),
     ("matmul_flat_weight_only", lambda rng: _case_matmul_flat(rng, False, True)),
     ("matmul_flat_left_only", lambda rng: _case_matmul_flat(rng, True, False)),
+    ("matmul_bias_all", lambda rng: _case_matmul_bias(rng, True)),
+    ("matmul_bias_frozen_left", lambda rng: _case_matmul_bias(rng, False)),
     ("log_sigmoid", _case_log_sigmoid),
     ("log", _case_log),
     ("relu", _case_relu),

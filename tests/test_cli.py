@@ -396,11 +396,13 @@ _QUERY = ["--subject", "0", "--relation", "0", "--time", "55"]
 @pytest.mark.parametrize("argv,error,name", [
     (["predict", *_QUERY, "--top-k", "-3"], "ValidationError", "--top-k"),
     (["predict", *_QUERY, "--top-k", "0"], "ValidationError", "--top-k"),
+    (["predict", "--subject", "0", "--relation", "0", "--time", str(2**63)],
+     "ValidationError", "--time"),
     (["predict", *_QUERY, "--set", "seed=-1"], "ConfigurationError", "seed"),
     (["eval", "--split", "valid", "--set", "seed=-1"], "ConfigurationError", "seed"),
     (["eval", "--split", "valid", "--set", "eval_k=0"], "ConfigurationError",
      "eval_k"),
-], ids=["top-k-negative", "top-k-zero", "predict-seed-negative",
+], ids=["top-k-negative", "top-k-zero", "time-past-int64", "predict-seed-negative",
         "eval-seed-negative", "eval-k-zero"])
 def test_bad_flag_value_is_exit_2(workspace, argv, error, name):
     code, out, err = run_cli([argv[0], "--checkpoint", str(workspace.ckpt),
@@ -647,6 +649,18 @@ def test_non_utf8_split_is_exit_2(workspace, tmp_path):
         "train", "--config", str(workspace.cfg), "--set", f"data_dir={tmp_path}",
         "--set", f"checkpoint={tmp_path / 'model.ckpt'}"])
     _assert_one_error_line(code, err, "ParseError", "test.txt")
+    assert out == ""
+
+
+def test_timestamp_past_int64_is_exit_2(workspace, tmp_path):
+    _copy_splits(workspace, tmp_path)
+    with open(tmp_path / "test.txt", "a", encoding="utf-8") as fh:
+        fh.write(f"0\t0\t1\t{2**63}\n")
+    code, out, err = run_cli([
+        "train", "--config", str(workspace.cfg), "--set", "granularity=1",
+        "--set", f"data_dir={tmp_path}",
+        "--set", f"checkpoint={tmp_path / 'model.ckpt'}"])
+    _assert_one_error_line(code, err, "ValidationError", "test.txt")
     assert out == ""
 
 

@@ -56,6 +56,23 @@ def test_parse_negative_id_is_validation_error(tmp_path):
         data.parse_quadruples(p, time_granularity=1)
 
 
+@pytest.mark.parametrize("line", [
+    f"{2**63}\t0\t2\t0", f"1\t{2**63}\t2\t0", f"1\t0\t{2**63}\t0",
+    f"1\t0\t2\t{2**63}",
+], ids=["s", "r", "o", "t"])
+def test_parse_past_int64_is_validation_error_naming_the_line(tmp_path, line):
+    p = write_lines(tmp_path / "train.txt", ["1\t0\t2\t0", line])
+    with pytest.raises(ValidationError) as exc:
+        data.parse_quadruples(p, time_granularity=1)
+    assert "train.txt line 2" in str(exc.value)
+
+
+def test_parse_bounds_the_ordinal_not_the_raw_timestamp(tmp_path):
+    p = write_lines(tmp_path / "train.txt", [f"{2**63 - 1}\t0\t2\t{2**63}"])
+    assert data.parse_quadruples(p, time_granularity=2) == [
+        data.Quadruple(2**63 - 1, 0, 2, 2**62)]
+
+
 def test_parse_rejects_nonpositive_granularity(tmp_path):
     p = write_lines(tmp_path / "train.txt", ["1\t0\t2\t0"])
     with pytest.raises(ConfigurationError):

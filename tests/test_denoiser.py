@@ -251,8 +251,8 @@ def test_denoise_matches_full_slot_reference(layers):
 
 
 def test_last_layer_runs_its_ffn_on_the_target_slot_only():
-    # a full-slot layer tapes three [N, S, 4h] nodes (x @ w1, + b1, relu);
-    # the last layer tapes none, its FFN runs on [N, h]
+    # a full-slot layer tapes two [N*S, 4h] nodes (x @ w1 + b1, relu); the
+    # last layer tapes none, its FFN runs on [N, h]
     counts = []
     for layers in (1, 2, 3):
         cfg, vocab, params, _ = tiny_model(layers=layers, window=8,
@@ -260,12 +260,12 @@ def test_last_layer_runs_its_ffn_on_the_target_slot_only():
         rng = np.random.default_rng(30)
         batch = random_batch(rng, 4, cfg.window, vocab.num_entities,
                              vocab.num_relations, cfg.dt_max)
-        wide = (batch.size, cfg.max_seq, cfg.ffn)
+        wide = (batch.size * cfg.max_seq, cfg.ffn)
         tape = K.Tape()
         with tape.active():
             _forward(params, cfg, batch, train_mode=True, rng=rng)
         counts.append(sum(out.shape == wide for out, _ in tape._nodes))
-    assert counts == [0, 3, 6]
+    assert counts == [0, 2, 4]
 
 
 def test_all_masked_target_slot_rejected():

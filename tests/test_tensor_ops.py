@@ -84,6 +84,33 @@ def test_matmul_batched_broadcast():
     assert np.allclose(out, a @ b)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matmul_bias_is_the_sum_it_replaces_bitwise(dtype):
+    rng = np.random.default_rng(12)
+    a, w, bias = (K.Tensor(rng.normal(size=shape).astype(dtype))
+                  for shape in ((6, 4), (4, 3), (3,)))
+    fused = K.matmul(a, w, bias).data
+    assert fused.dtype == dtype
+    assert fused.tobytes() == K.add(K.matmul(a, w), bias).data.tobytes()
+
+
+def test_matmul_bias_widens_like_add():
+    rng = np.random.default_rng(13)
+    a = K.Tensor(rng.normal(size=(2, 3)).astype(np.float32))
+    w = K.Tensor(rng.normal(size=(3, 2)).astype(np.float32))
+    bias = t(rng.normal(size=(2,)))
+    out = K.matmul(a, w, bias).data
+    assert out.dtype == np.float64
+    assert np.array_equal(out, K.add(K.matmul(a, w), bias).data)
+
+
+def test_matmul_bias_is_positional_only():
+    # perfbench's matmul FLOP counter takes no keyword arguments
+    eye = t(np.eye(2))
+    with pytest.raises(TypeError):
+        K.matmul(eye, eye, bias=t(np.ones(2)))
+
+
 # ---------------------------------------------------------------------------
 # softmax
 
@@ -320,12 +347,19 @@ def _scatter_slice(ref, g):
     ref[:, 2, :] += g
 
 
+def _scatter_strided(ref, g):
+    for i, row in zip(range(2, ref.shape[0], 3), g):
+        ref[i] += row
+
+
 _GATHERS = {
     "embedding_gather": ((5, 3), lambda x: K.embedding_gather(x, _GATHER_IDS),
                          _scatter_rows),
     "gather_rows_at": ((4, 6), lambda x: K.gather_rows_at(x, _COLUMNS),
                        _scatter_columns),
     "take": ((3, 4, 5), lambda x: K.take(x, 2, axis=1), _scatter_slice),
+    "take_strided": ((8, 3), lambda x: K.take(x, slice(2, None, 3), axis=0),
+                     _scatter_strided),
 }
 
 
